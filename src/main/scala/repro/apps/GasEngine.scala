@@ -1,7 +1,6 @@
 package repro.apps
 
-import repro.core.SubGraphState
-import repro.graph.Hashing
+import repro.graph.{Hashing, LocalGraph}
 
 /** Deterministic simulator of a synchronous GAS (gather–apply–scatter)
   * engine — the PowerLyra/PowerGraph substrate the paper runs SSSP, WCC and
@@ -28,8 +27,8 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
   require(numParts >= 1 && numParts <= 64, s"engine supports 1..64 partitions, got $numParts")
   require(assign.forall(p => p >= 0 && p < numParts), "partition id out of range")
 
-  val st: SubGraphState = SubGraphState.build(0, edges)
-  private val n = st.numLocalVertices
+  val graph: LocalGraph = LocalGraph.build(edges)
+  private val n = graph.numVertices
   private val m = edges.length
 
   /** Per-vertex replica partitions (sorted) and hash-chosen master. */
@@ -38,15 +37,15 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     var e = 0
     while (e < m) {
       val bit = 1L << assign(e)
-      masks(st.vertexIndex.get(st.srcs(e))) |= bit
-      masks(st.vertexIndex.get(st.dsts(e))) |= bit
+      masks(graph.lsrc(e)) |= bit
+      masks(graph.ldst(e)) |= bit
       e += 1
     }
     masks.map(maskToParts)
   }
   val master: Array[Int] = Array.tabulate(n) { lv =>
     val reps = replicaParts(lv)
-    reps(Hashing.bucket(st.vertexIds(lv), reps.length, salt = 0x3A57E8L))
+    reps(Hashing.bucket(graph.vertexIds(lv), reps.length, salt = 0x3A57E8L))
   }
 
   /** |E_p| per partition. */
@@ -101,11 +100,10 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
       candidate.clear(); proposers.clear()
       frontier.foreach { lv =>
         val send = relax(value(lv))
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1)) {
-          val e = st.adjEdge(k)
-          val w = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-          val lw: Integer = st.vertexIndex.get(w)
+        var k = graph.adjOff(lv)
+        while (k < graph.adjOff(lv + 1)) {
+          val e = graph.adjEdge(k)
+          val lw: Integer = graph.other(e, lv)
           stepWork(assign(e)) += 1
           if (send < value(lw)) {
             val cur = candidate.get(lw)
@@ -155,8 +153,8 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     *         (Long.MaxValue = unreachable).
     */
   def sssp(source: Long): (Array[Long], Stats) = {
-    require(st.vertexIndex.containsKey(source), s"unknown source vertex $source")
-    val ls = st.vertexIndex.get(source)
+    val ls = graph.localId(source)
+    require(ls >= 0, s"unknown source vertex $source")
     val init = Array.fill(n)(Long.MaxValue)
     init(ls) = 0L
     minPropagation("SSSP", init, Array(ls), d => d + 1)
@@ -164,8 +162,7 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
 
   /** Weakly connected components by min-vertex-id flooding. */
   def wcc(): (Array[Long], Stats) = {
-    val init = Array.tabulate(n)(lv => st.vertexIds(lv))
-    minPropagation("WCC", init, Array.tabulate(n)(identity), l => l)
+    minPropagation("WCC", graph.vertexIds, Array.tabulate(n)(identity), l => l)
   }
 
   /** PageRank with damping 0.85 over the symmetrized graph. All vertices
@@ -175,7 +172,7 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     */
   def pageRank(iterations: Int, damping: Double = 0.85): (Array[Double], Stats) = {
     require(iterations >= 1)
-    val deg = Array.tabulate(n)(lv => st.adjOff(lv + 1) - st.adjOff(lv))
+    val deg = Array.tabulate(n)(graph.degree)
     var rank = Array.fill(n)(1.0 / math.max(1, n))
     var iter = 0
     while (iter < iterations) {
@@ -183,11 +180,9 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
       var lv = 0
       while (lv < n) {
         val contrib = if (deg(lv) == 0) 0.0 else damping * rank(lv) / deg(lv)
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1)) {
-          val e = st.adjEdge(k)
-          val w = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-          next(st.vertexIndex.get(w)) += contrib
+        var k = graph.adjOff(lv)
+        while (k < graph.adjOff(lv + 1)) {
+          next(graph.other(graph.adjEdge(k), lv)) += contrib
           k += 1
         }
         lv += 1

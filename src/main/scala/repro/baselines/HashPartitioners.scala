@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import repro.graph.{Grid2D, Hashing}
 
 /** The hash-based edge partitioners the paper benchmarks (§2.2, §7):
-  * Random (1-D hash), Grid (2-D hash), DBH, and PowerLyra's Hybrid hash.
+  * Random (1-D hash), Grid (2-D hash) and DBH.
   * All are stateless one-pass Spark transformations — exactly why they
   * scale and exactly why their quality is poor (random allocation).
   */
@@ -31,19 +31,6 @@ object HashPartitioners {
     withDegrees(edges).map { case (u, v, du, dv) =>
       val pivot = if (du < dv || (du == dv && u < v)) u else v
       (u, v, Hashing.bucket(pivot, p, salt = 0xDB11L))
-    }
-
-  /** PowerLyra's hybrid-cut adapted to undirected canonical edges: edges of
-    * a low-degree endpoint (≤ threshold) are grouped at that endpoint's
-    * hash (low-cut); edges between two high-degree vertices are hashed by
-    * the other endpoint (high-cut).
-    */
-  def hybrid(edges: RDD[(Long, Long)], p: Int, threshold: Int = 100): RDD[(Long, Long, Int)] =
-    withDegrees(edges).map { case (u, v, du, dv) =>
-      val (lo, hi) = if (du < dv || (du == dv && u < v)) (u, v) else (v, u)
-      val loDeg = math.min(du, dv)
-      val pivot = if (loDeg <= threshold) lo else hi
-      (u, v, Hashing.bucket(pivot, p, salt = 0x4B1DL))
     }
 
   /** Edges annotated with both endpoint degrees, via two shuffles. */

@@ -1,7 +1,6 @@
 package repro.baselines
 
-import repro.core.SubGraphState
-import repro.graph.Hashing
+import repro.graph.{Hashing, LocalGraph}
 import scala.collection.mutable
 
 /** Label-propagation *vertex* partitioners:
@@ -19,24 +18,22 @@ import scala.collection.mutable
   */
 object LabelPropagation {
 
-  final case class VertexPartition(st: SubGraphState, labels: Array[Int])
-
   def spinner(edges: Array[(Long, Long)], p: Int,
               iterations: Int = 20, seed: Long = 42L,
               capacityFactor: Double = 1.05): VertexPartition = {
-    val st = SubGraphState.build(0, edges)
-    val labels = Array.tabulate(st.numLocalVertices) { lv =>
-      Hashing.bucket(st.vertexIds(lv), p, seed)
+    val g = LocalGraph.build(edges)
+    val labels = Array.tabulate(g.numVertices) { lv =>
+      Hashing.bucket(g.vertexIds(lv), p, seed)
     }
-    refine(st, labels, p, iterations, capacityFactor)
-    VertexPartition(st, labels)
+    refine(g, labels, p, iterations, capacityFactor)
+    VertexPartition(g, labels)
   }
 
   def xtrapulp(edges: Array[(Long, Long)], p: Int,
                iterations: Int = 20, seed: Long = 42L,
                capacityFactor: Double = 1.05): VertexPartition = {
-    val st = SubGraphState.build(0, edges)
-    val n = st.numLocalVertices
+    val g = LocalGraph.build(edges)
+    val n = g.numVertices
     val labels = Array.fill(n)(-1)
     if (n > 0) {
       // |P| spread-out seeds, grown breadth-first until every vertex is
@@ -51,11 +48,9 @@ object LabelPropagation {
       if (queue.isEmpty) { labels(0) = 0; queue.enqueue(0) }
       while (queue.nonEmpty) {
         val lv = queue.dequeue()
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1)) {
-          val e = st.adjEdge(k)
-          val w = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-          val lw = st.vertexIndex.get(w)
+        var k = g.adjOff(lv)
+        while (k < g.adjOff(lv + 1)) {
+          val lw = g.other(g.adjEdge(k), lv)
           if (labels(lw) < 0) { labels(lw) = labels(lv); queue.enqueue(lw) }
           k += 1
         }
@@ -72,21 +67,21 @@ object LabelPropagation {
         }
       }
     }
-    refine(st, labels, p, iterations, capacityFactor)
-    VertexPartition(st, labels)
+    refine(g, labels, p, iterations, capacityFactor)
+    VertexPartition(g, labels)
   }
 
   /** Capacity-aware LP sweep: each vertex adopts the most frequent neighbor
     * label whose projected degree-load stays below `capacityFactor` × mean.
     */
-  private def refine(st: SubGraphState, labels: Array[Int], p: Int,
+  private def refine(g: LocalGraph, labels: Array[Int], p: Int,
                      iterations: Int, capacityFactor: Double): Unit = {
-    val n = st.numLocalVertices
+    val n = g.numVertices
     if (n == 0) return
     val degLoad = new Array[Long](p)
     var lv = 0
     while (lv < n) {
-      degLoad(labels(lv)) += st.adjOff(lv + 1) - st.adjOff(lv)
+      degLoad(labels(lv)) += g.degree(lv)
       lv += 1
     }
     val cap = math.max(1L, (capacityFactor * degLoad.sum / p).toLong)
@@ -98,14 +93,12 @@ object LabelPropagation {
       lv = 0
       while (lv < n) {
         java.util.Arrays.fill(counts, 0)
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1)) {
-          val e = st.adjEdge(k)
-          val w = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-          counts(labels(st.vertexIndex.get(w))) += 1
+        var k = g.adjOff(lv)
+        while (k < g.adjOff(lv + 1)) {
+          counts(labels(g.other(g.adjEdge(k), lv))) += 1
           k += 1
         }
-        val deg = (st.adjOff(lv + 1) - st.adjOff(lv)).toLong
+        val deg = g.degree(lv).toLong
         val cur = labels(lv)
         var best = cur
         var bestCount = counts(cur)

@@ -1,7 +1,6 @@
 package repro.baselines
 
-import repro.core.SubGraphState
-import repro.graph.Hashing
+import repro.graph.{Hashing, LocalGraph}
 import scala.collection.mutable
 
 /** Multilevel vertex partitioner in the ParMETIS mold (Karypis & Kumar):
@@ -23,21 +22,15 @@ object MultilevelVertex {
       vw: Array[Int],               // vertex weights (coarse multiplicities)
       fineToCoarse: Array[Int])     // map from the finer level's ids
 
-  final case class VertexPartition(st: SubGraphState, labels: Array[Int])
-
   def partition(edges: Array[(Long, Long)], p: Int,
                 seed: Long = 42L, balance: Double = 1.05): VertexPartition = {
-    val st = SubGraphState.build(0, edges)
-    val n = st.numLocalVertices
-    if (n == 0) return VertexPartition(st, Array.empty)
+    val g = LocalGraph.build(edges)
+    val n = g.numVertices
+    if (n == 0) return VertexPartition(g, Array.empty)
 
     // --- level 0 from the CSR ---
     var adj = Array.tabulate(n) { lv =>
-      (st.adjOff(lv) until st.adjOff(lv + 1)).map { k =>
-        val e = st.adjEdge(k)
-        val w0 = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-        st.vertexIndex.get(w0).intValue()
-      }.toArray
+      (g.adjOff(lv) until g.adjOff(lv + 1)).map(k => g.other(g.adjEdge(k), lv)).toArray
     }
     var w = adj.map(_.map(_ => 1))
     var vw = Array.fill(n)(1)
@@ -116,7 +109,7 @@ object MultilevelVertex {
       refineBoundary(level.adj, level.w, level.vw, labels, p, balance, passes = 2)
       li -= 1
     }
-    VertexPartition(st, labels)
+    VertexPartition(g, labels)
   }
 
   /** BFS region growing balanced on vertex weight. */

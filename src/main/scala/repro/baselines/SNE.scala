@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.SubGraphState
+import repro.graph.LocalGraph
 import scala.collection.mutable
 
 /** SNE — Streaming Neighbor Expansion (Zhang et al. KDD'17), the
@@ -31,9 +31,10 @@ object SNE {
     while (chunkStart < m) {
       val chunkEnd = math.min(m, chunkStart + chunkEdges)
       val chunk = java.util.Arrays.copyOfRange(edges, chunkStart, chunkEnd)
-      val st = SubGraphState.build(0, chunk)
-      val localOut = st.alloc
-      val unalloc = st.unallocCount
+      val g = LocalGraph.build(chunk)
+      val n = g.numVertices
+      val localOut = Array.fill(chunk.length)(-1)
+      val unalloc = Array.tabulate(n)(g.degree)
       var remaining = chunk.length
 
       def mem(x: Long): mutable.BitSet =
@@ -43,13 +44,10 @@ object SNE {
         localOut(e) = q
         remaining -= 1
         sizes(q) += 1
-        var side = 0
-        while (side < 2) {
-          val x = if (side == 0) st.srcs(e) else st.dsts(e)
-          unalloc(st.vertexIndex.get(x)) -= 1
-          mem(x) += q
-          side += 1
-        }
+        unalloc(g.lsrc(e)) -= 1
+        unalloc(g.ldst(e)) -= 1
+        mem(g.vertexIds(g.lsrc(e))) += q
+        mem(g.vertexIds(g.ldst(e))) += q
       }
 
       /** NE-style expansion of vertex `lv` into `q`, incl. two-hop. The cap
@@ -59,23 +57,21 @@ object SNE {
         */
       def expand(lv: Int, q: Int, boundary: mutable.PriorityQueue[(Int, Int)]): Unit = {
         val fresh = mutable.ArrayBuffer.empty[Int]
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1) && sizes(q) < cap) {
-          val e = st.adjEdge(k)
+        var k = g.adjOff(lv)
+        while (k < g.adjOff(lv + 1) && sizes(q) < cap) {
+          val e = g.adjEdge(k)
           if (localOut(e) < 0) {
-            val other = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
             allocate(e, q)
-            fresh += st.vertexIndex.get(other)
+            fresh += g.other(e, lv)
           }
           k += 1
         }
         fresh.foreach { lu =>
-          var j = st.adjOff(lu)
-          while (j < st.adjOff(lu + 1) && sizes(q) < cap) {
-            val e = st.adjEdge(j)
+          var j = g.adjOff(lu)
+          while (j < g.adjOff(lu + 1) && sizes(q) < cap) {
+            val e = g.adjEdge(j)
             if (localOut(e) < 0) {
-              val w = if (st.srcs(e) == st.vertexIds(lu)) st.dsts(e) else st.srcs(e)
-              if (mem(w).contains(q)) allocate(e, q)
+              if (mem(g.vertexIds(g.other(e, lu))).contains(q)) allocate(e, q)
             }
             j += 1
           }
@@ -90,8 +86,8 @@ object SNE {
           val boundary = mutable.PriorityQueue.empty[(Int, Int)](
             Ordering.Tuple2[Int, Int].reverse)
           var lv = 0
-          while (lv < st.numLocalVertices) {
-            if (unalloc(lv) > 0 && mem(st.vertexIds(lv)).contains(q))
+          while (lv < n) {
+            if (unalloc(lv) > 0 && mem(g.vertexIds(lv)).contains(q))
               boundary.enqueue((unalloc(lv), lv))
             lv += 1
           }
@@ -113,8 +109,8 @@ object SNE {
       var cursor = 0
       val seedBudget = math.max(1L, chunk.length.toLong / p)
       while (remaining > 0) {
-        while (cursor < st.numLocalVertices && unalloc(cursor) == 0) cursor += 1
-        require(cursor < st.numLocalVertices, "SNE lost track of chunk edges")
+        while (cursor < n && unalloc(cursor) == 0) cursor += 1
+        require(cursor < n, "SNE lost track of chunk edges")
         val target = {
           val open = (0 until p).filter(sizes(_) < cap)
           if (open.nonEmpty) open.minBy(sizes(_)) else (0 until p).minBy(sizes(_))

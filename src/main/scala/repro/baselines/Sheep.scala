@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.SubGraphState
+import repro.graph.LocalGraph
 import scala.collection.mutable
 
 /** Sheep (Margo & Seltzer, PVLDB'15) — the elimination-tree edge
@@ -23,15 +23,14 @@ object Sheep {
 
   def partition(edges: Array[(Long, Long)], p: Int): Array[Int] = {
     require(p >= 1)
-    val st = SubGraphState.build(0, edges)
-    val n = st.numLocalVertices
+    val g = LocalGraph.build(edges)
+    val n = g.numVertices
     val out = new Array[Int](edges.length)
     if (n == 0) return out
 
     // 1. elimination order by ascending degree
-    val degree = Array.tabulate(n)(lv => st.adjOff(lv + 1) - st.adjOff(lv))
     val order = Array.tabulate(n)(identity)
-      .sortBy(lv => (degree(lv), st.vertexIds(lv)))
+      .sortBy(lv => (g.degree(lv), g.vertexIds(lv)))
     val rank = new Array[Int](n)
     order.zipWithIndex.foreach { case (lv, r) => rank(lv) = r }
 
@@ -47,11 +46,9 @@ object Sheep {
       r
     }
     order.foreach { v =>
-      var k = st.adjOff(v)
-      while (k < st.adjOff(v + 1)) {
-        val e = st.adjEdge(k)
-        val u0 = if (st.srcs(e) == st.vertexIds(v)) st.dsts(e) else st.srcs(e)
-        val u = st.vertexIndex.get(u0)
+      var k = g.adjOff(v)
+      while (k < g.adjOff(v + 1)) {
+        val u = g.other(g.adjEdge(k), v)
         if (rank(u) < rank(v)) {
           val ru = find(u)
           val top = ufTop(ru)
@@ -66,14 +63,11 @@ object Sheep {
     }
 
     // 3. edge weights charged to the lower-ordered endpoint
+    def chargedTo(e: Int): Int =
+      if (rank(g.lsrc(e)) < rank(g.ldst(e))) g.lsrc(e) else g.ldst(e)
     val weight = new Array[Long](n)
     var e = 0
-    while (e < edges.length) {
-      val lu = st.vertexIndex.get(st.srcs(e))
-      val lv = st.vertexIndex.get(st.dsts(e))
-      weight(if (rank(lu) < rank(lv)) lu else lv) += 1
-      e += 1
-    }
+    while (e < edges.length) { weight(chargedTo(e)) += 1; e += 1 }
 
     // 4. bottom-up tree partitioning into |P| weight chunks: walking the
     // elimination order is a topological order of the tree (children first)
@@ -102,12 +96,7 @@ object Sheep {
     }
 
     e = 0
-    while (e < edges.length) {
-      val lu = st.vertexIndex.get(st.srcs(e))
-      val lw = st.vertexIndex.get(st.dsts(e))
-      out(e) = chunk(if (rank(lu) < rank(lw)) lu else lw)
-      e += 1
-    }
+    while (e < edges.length) { out(e) = chunk(chargedTo(e)); e += 1 }
     out
   }
 }

@@ -1,6 +1,9 @@
 package repro.baselines
 
-import repro.graph.Hashing
+import repro.graph.{Hashing, LocalGraph}
+
+/** A vertex partitioning: one label per local vertex id of `graph`. */
+final case class VertexPartition(graph: LocalGraph, labels: Array[Int])
 
 /** Vertex-partition → edge-partition conversion used by the paper to
   * compare against vertex partitioners (ParMETIS, Spinner, XtraPuLP):
@@ -20,11 +23,7 @@ object VertexCutConversion {
       else pv
     }
 
-  def fromVertexPartition(vp: LabelPropagation.VertexPartition,
-                          edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.st.vertexIndex.get(x)), seed)
-
-  def fromMultilevel(vp: MultilevelVertex.VertexPartition,
-                     edges: Array[(Long, Long)], seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.st.vertexIndex.get(x)), seed)
+  def fromVertexPartition(vp: VertexPartition, edges: Array[(Long, Long)],
+                          seed: Long = 7L): Array[Int] =
+    toEdgePartition(edges, x => vp.labels(vp.graph.localId(x)), seed)
 }

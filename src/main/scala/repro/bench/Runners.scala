@@ -72,11 +72,10 @@ object Runners {
         metricsOf(method, edges, a, s)
       case "SNE" =>
         // SNE's buffer holds ~100 M edges in the original; every stand-in
-        // fits in one buffer, so the faithful default is a single chunk.
+        // fits in one buffer, so the faithful setting is a single chunk.
         // Smaller buffers (the memory/quality trade-off) are exercised in
-        // unit tests and via SNE_CHUNK_DIV.
-        val div = sys.env.getOrElse("SNE_CHUNK_DIV", "1").toInt
-        val (a, s) = timed(SNE.partition(edges, p, chunkEdges = math.max(1, edges.length / div)))
+        // unit tests.
+        val (a, s) = timed(SNE.partition(edges, p, chunkEdges = math.max(1, edges.length)))
         metricsOf(method, edges, a, s)
       case "Sheep" =>
         val (a, s) = timed(Sheep.partition(edges, p))
@@ -84,7 +83,7 @@ object Runners {
       case "P.M." =>
         val (a, s) = timed {
           val vp = MultilevelVertex.partition(edges, p, seed = seed)
-          VertexCutConversion.fromMultilevel(vp, edges)
+          VertexCutConversion.fromVertexPartition(vp, edges)
         }
         metricsOf(method, edges, a, s)
       case "X.P." =>

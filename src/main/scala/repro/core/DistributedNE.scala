@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -8,17 +8,6 @@ import org.apache.spark.storage.StorageLevel
 import repro.graph.{Grid2D, Hashing}
 
 import scala.collection.mutable
-
-/** Identity partitioner over pre-computed cell ids. */
-final class CellPartitioner(val cells: Int) extends Partitioner {
-  override def numPartitions: Int = cells
-  override def getPartition(key: Any): Int = key.asInstanceOf[Int]
-  override def equals(other: Any): Boolean = other match {
-    case c: CellPartitioner => c.cells == cells
-    case _ => false
-  }
-  override def hashCode(): Int = cells
-}
 
 /** Distributed Neighbor Expansion (the paper's contribution, §3–§5) as a
   * Spark RDD dataflow.
@@ -47,10 +36,7 @@ object DistributedNE {
       numPartitions: Int,
       alpha: Double = 1.1,      // imbalance factor (Eq. 2)
       lambda: Double = 0.1,     // expansion factor (Alg. 4)
-      seed: Long = 42L,
-      samplesPerCell: Int = 8,  // random-restart candidates reported per cell
-      checkpointEvery: Int = 20,
-      maxIterations: Int = 100000) {
+      seed: Long = 42L) {
     require(numPartitions >= 1, "need at least one partition")
     require(alpha > 1.0, s"imbalance factor must exceed 1.0, got $alpha")
     require(lambda > 0.0 && lambda <= 1.0, s"lambda must be in (0,1], got $lambda")
@@ -60,8 +46,11 @@ object DistributedNE {
       assignments: RDD[(Long, Long, Int)],
       numEdges: Long,
       iterations: Int,
-      partitionSizes: Array[Long],
-      elapsedMillis: Long)
+      partitionSizes: Array[Long])
+
+  private val SamplesPerCell = 8 // random-restart candidates reported per cell
+  private val CheckpointEvery = 20
+  private val MaxIterations = 100000
 
   private final case class Phase1Out(
       state: SubGraphState,
@@ -78,11 +67,10 @@ object DistributedNE {
     * edge sets. Returns the assignment as an RDD of (u, v, part) triples.
     */
   def partition(spark: SparkSession, edges: RDD[(Long, Long)], cfg: Config): Result = {
-    val t0 = System.nanoTime()
     val sc = spark.sparkContext
     val p = cfg.numPartitions
     val grid = Grid2D.forPartitions(p)
-    val cellPart = new CellPartitioner(grid.numCells)
+    val cellPart = new HashPartitioner(grid.numCells) // cell ids route to themselves
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
     var stateCached: RDD[_] = null
@@ -98,7 +86,7 @@ object DistributedNE {
 
     val init = state
       .map { case (cell, st) =>
-        (cell, st.numEdges.toLong, st.sampleUnallocated(cfg.samplesPerCell, cfg.seed))
+        (cell, st.graph.numEdges.toLong, st.sampleUnallocated(SamplesPerCell, cfg.seed))
       }
       .collect()
     val numEdges = init.map(_._2).sum
@@ -111,7 +99,7 @@ object DistributedNE {
     var totalAllocated = 0L
     var iter = 0
 
-    while (totalAllocated < numEdges && iter < cfg.maxIterations) {
+    while (totalAllocated < numEdges && iter < MaxIterations) {
       // -- selection (Alg. 1 lines 3–7 / Alg. 4) --
       val sel = mutable.ArrayBuffer.empty[(Long, Int)]
       val selectedVs = new java.util.HashSet[Long]()
@@ -155,20 +143,14 @@ object DistributedNE {
       val quotaBc = sc.broadcast(quota)
       val gridBc = grid
       val numP = p
-      val sampleK = cfg.samplesPerCell
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
       // -- phase 1: one-hop allocation --
       val phase1 = state.mapPartitions({ it =>
         val (cell, st0) = it.next()
         val st = st0.copy()
-        val selArr = selBc.value
-        val selMap = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
-        selArr.foreach { case (v, q) =>
-          selMap.putIfAbsent(java.lang.Long.valueOf(v), java.lang.Integer.valueOf(q))
-        }
         val delta = new Array[Long](numP)
-        val msgs = st.allocateOneHop(selArr, selMap, sizesBc.value, delta, quotaBc.value)
+        val msgs = st.allocateOneHop(selBc.value, sizesBc.value, delta, quotaBc.value)
         Iterator((cell, Phase1Out(st, msgs.toArray, delta)))
       }, preservesPartitioning = true).persist(StorageLevel.MEMORY_ONLY)
 
@@ -190,10 +172,10 @@ object DistributedNE {
         val bp = st.applySync(msgIt.map(_._2))
         st.allocateTwoHop(bp, sizesBc.value, delta, quotaBc.value)
         val reports = st.localDrest(bp)
-        val samples = st.sampleUnallocated(sampleK, iterSeed)
+        val samples = st.sampleUnallocated(SamplesPerCell, iterSeed)
         Iterator((cell, Phase2Out(st, delta, reports, samples)))
       }.persist(StorageLevel.MEMORY_ONLY)
-      if ((iter + 1) % cfg.checkpointEvery == 0) phase2.localCheckpoint()
+      if ((iter + 1) % CheckpointEvery == 0) phase2.localCheckpoint()
 
       val collected = phase2
         .map { case (cell, o) => (cell, o.delta, o.reports, o.samples) }
@@ -220,7 +202,6 @@ object DistributedNE {
 
       // -- rotate cached state --
       state = phase2.mapValues(_.state)
-      phase2.count() // already materialized by collect; keeps intent explicit
       phase1.unpersist(blocking = false)
       stateCached.unpersist(blocking = false)
       stateCached = phase2
@@ -231,15 +212,14 @@ object DistributedNE {
     }
 
     require(totalAllocated == numEdges,
-      s"Distributed NE did not converge in ${cfg.maxIterations} iterations " +
+      s"Distributed NE did not converge in $MaxIterations iterations " +
       s"($totalAllocated / $numEdges edges allocated)")
 
     val assignments = state.flatMap(_._2.assignments)
     assignments.persist(StorageLevel.MEMORY_ONLY)
     assignments.count()
     stateCached.unpersist(blocking = false)
-    Result(assignments, numEdges, iter, exps.map(_.size),
-      (System.nanoTime() - t0) / 1000000L)
+    Result(assignments, numEdges, iter, exps.map(_.size))
   }
 
   /** Deduplicated random-restart candidate pool, order-stable in the input. */

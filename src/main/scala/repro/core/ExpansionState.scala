@@ -14,8 +14,7 @@ final class ExpansionState(val partId: Int) {
 
   private val heap = mutable.PriorityQueue.empty[(Int, Long)](
     Ordering.Tuple2[Int, Long].reverse) // min-heap
-  private val seen = new java.util.HashSet[Long]() // enqueued ∪ popped
-  private val popped = new java.util.HashSet[Long]()
+  private val seen = new java.util.HashSet[Long]() // ever enqueued or expanded
 
   var size: Long = 0L       // |E_p| so far (maintained by the driver)
   var done: Boolean = false // reached the α·|E|/|P| cap
@@ -32,7 +31,7 @@ final class ExpansionState(val partId: Int) {
   /** Marks a random-restart vertex as expanded so a later boundary report
     * for it is not re-enqueued.
     */
-  def markExpanded(vertex: Long): Unit = { seen.add(vertex); popped.add(vertex) }
+  def markExpanded(vertex: Long): Unit = seen.add(vertex)
 
   /** Multi-expansion pop (Alg. 4): the k-minimum-D_rest vertices with
     * k = max(1, ⌈λ·|B_p|⌉), additionally throttled so the popped D_rest sum
@@ -46,7 +45,6 @@ final class ExpansionState(val partId: Int) {
     var drestSum = 0L
     while (out.length < k && heap.nonEmpty && (out.isEmpty || drestSum < budget)) {
       val (d, v) = heap.dequeue()
-      popped.add(v)
       out += ((v, d))
       drestSum += d
     }

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.LocalGraph
+
 import scala.collection.mutable
 
 /** Sequential Neighbor Expansion (NE, Zhang et al. KDD'17) — the offline
@@ -21,12 +23,12 @@ object SequentialNE {
 
   /** @return per-edge partition ids aligned with `edges`. */
   def partition(edges: Array[(Long, Long)], cfg: Config): Array[Int] = {
-    val st = SubGraphState.build(0, edges)
-    val m = st.numEdges
-    val n = st.numLocalVertices
-    val out = st.alloc // -1 everywhere; we mutate the freshly built state
+    val g = LocalGraph.build(edges)
+    val m = g.numEdges
+    val n = g.numVertices
+    val out = Array.fill(m)(-1)
     if (m == 0) return out
-    val unalloc = st.unallocCount
+    val unalloc = Array.tabulate(n)(g.degree)
     val member: Array[mutable.BitSet] = Array.fill(n)(mutable.BitSet.empty)
     var remaining = m
     var scanCursor = 0 // seeded start for random restarts, then linear scan
@@ -52,13 +54,8 @@ object SequentialNE {
         out(e) = part
         remaining -= 1
         size += 1
-        var side = 0
-        while (side < 2) {
-          val x = if (side == 0) st.srcs(e) else st.dsts(e)
-          val lx = st.vertexIndex.get(x)
-          unalloc(lx) -= 1
-          side += 1
-        }
+        unalloc(g.lsrc(e)) -= 1
+        unalloc(g.ldst(e)) -= 1
       }
 
       /** Expand `lv` into partition p: one-hop + Condition-(5) two-hop.
@@ -70,12 +67,11 @@ object SequentialNE {
         expanded.set(lv)
         member(lv) += p
         val newBoundary = mutable.ArrayBuffer.empty[Int]
-        var k = st.adjOff(lv)
-        while (k < st.adjOff(lv + 1) && size < cap) {
-          val e = st.adjEdge(k)
+        var k = g.adjOff(lv)
+        while (k < g.adjOff(lv + 1) && size < cap) {
+          val e = g.adjEdge(k)
           if (out(e) < 0) {
-            val u = if (st.srcs(e) == st.vertexIds(lv)) st.dsts(e) else st.srcs(e)
-            val lu = st.vertexIndex.get(u)
+            val lu = g.other(e, lv)
             allocate(e, p)
             if (!member(lu).contains(p)) { member(lu) += p; newBoundary += lu }
           }
@@ -84,13 +80,11 @@ object SequentialNE {
         // two-hop: edges between the new boundary and any vertex already in
         // V(E_p) never increase replication (Condition (5))
         newBoundary.foreach { lu =>
-          var j = st.adjOff(lu)
-          while (j < st.adjOff(lu + 1) && size < cap) {
-            val e = st.adjEdge(j)
+          var j = g.adjOff(lu)
+          while (j < g.adjOff(lu + 1) && size < cap) {
+            val e = g.adjEdge(j)
             if (out(e) < 0) {
-              val w = if (st.srcs(e) == st.vertexIds(lu)) st.dsts(e) else st.srcs(e)
-              val lw = st.vertexIndex.get(w)
-              if (member(lw).contains(p)) allocate(e, p)
+              if (member(g.other(e, lu)).contains(p)) allocate(e, p)
             }
             j += 1
           }

@@ -1,19 +1,16 @@
 package repro.core
 
+import repro.graph.LocalGraph
+
 import scala.collection.mutable.ArrayBuffer
 
 /** State of one *allocation process* (§3.3/§4 of the paper): the slice of
-  * the input graph that 2D-hash placement assigned to this grid cell,
-  * stored in CSR, plus the mutable allocation state.
+  * the input graph that 2D-hash placement assigned to this grid cell, plus
+  * the mutable allocation state.
   *
-  * Immutable across iterations (shared between copies):
-  *  - `srcs`/`dsts`        — the local edge list (canonical undirected)
-  *  - `vertexIds`/`vertexIndex` — global↔local vertex id mapping
-  *  - `adjOff`/`adjEdge`   — CSR adjacency (each edge appears under both
-  *                            endpoints)
-  *
-  * Mutable per copy (the per-iteration dataflow copies before writing, so a
-  * lineage recomputation replays deterministically — see DistributedNE):
+  * `graph` is immutable and shared between copies. The rest is mutable per
+  * copy (the per-iteration dataflow copies before writing, so a lineage
+  * recomputation replays deterministically — see DistributedNE):
   *  - `alloc`        — per-edge partition id, -1 = unallocated
   *  - `memberships`  — per local vertex, the sorted set of partitions it has
   *                      been allocated to (the replicated vertex allocation
@@ -23,27 +20,19 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class SubGraphState(
     val cellId: Int,
-    val srcs: Array[Long],
-    val dsts: Array[Long],
-    val vertexIds: Array[Long],
-    val vertexIndex: java.util.HashMap[Long, Int],
-    val adjOff: Array[Int],
-    val adjEdge: Array[Int],
+    val graph: LocalGraph,
     val alloc: Array[Int],
     val memberships: Array[Array[Int]],
     val unallocCount: Array[Int]
 ) extends Serializable {
-
-  def numEdges: Int = srcs.length
-  def numLocalVertices: Int = vertexIds.length
+  import graph.{adjEdge, adjOff, vertexIds}
 
   /** Copy-on-write clone: clones the mutable arrays, shares the topology.
     * Membership rows are themselves copy-on-write (see `addMembership`), so
     * a shallow clone of the outer array suffices.
     */
   def copy(): SubGraphState =
-    new SubGraphState(cellId, srcs, dsts, vertexIds, vertexIndex, adjOff,
-      adjEdge, alloc.clone(), memberships.clone(), unallocCount.clone())
+    new SubGraphState(cellId, graph, alloc.clone(), memberships.clone(), unallocCount.clone())
 
   /** Adds partition `p` to the local replica of vertex `lv`.
     * @return true iff the membership was new locally.
@@ -66,10 +55,9 @@ final class SubGraphState(
     alloc(e) = p
     var side = 0
     while (side < 2) {
-      val x = if (side == 0) srcs(e) else dsts(e)
-      val lx = vertexIndex.get(x)
+      val lx = if (side == 0) graph.lsrc(e) else graph.ldst(e)
       unallocCount(lx) -= 1
-      if (addMembership(lx, p)) msgs += ((x, p))
+      if (addMembership(lx, p)) msgs += ((vertexIds(lx), p))
       side += 1
     }
   }
@@ -80,8 +68,10 @@ final class SubGraphState(
     * and deterministically: the less-loaded partition wins, ties to the
     * smaller id — the distributed analogue of the paper's CAS.
     *
-    * @param sel    selected (vertex → partition), iterated in the caller's
-    *               deterministic order via `selOrder`
+    * @param selOrder selected (vertex, partition) pairs in the driver's
+    *               sorted order. A vertex selected by several partitions
+    *               expands for each of them, but as the far end of an edge
+    *               it claims for the first one listed.
     * @param sizes  global |E_p| snapshot from the driver (start of iteration)
     * @param delta  per-partition edges allocated locally this iteration
     *               (updated in place; used to keep conflict resolution and
@@ -89,7 +79,6 @@ final class SubGraphState(
     * @return new vertex→partition membership messages to synchronise
     */
   def allocateOneHop(selOrder: Array[(Long, Int)],
-                     sel: java.util.HashMap[java.lang.Long, java.lang.Integer],
                      sizes: Array[Long],
                      delta: Array[Long],
                      quota: Array[Long] = null): ArrayBuffer[(Long, Int)] = {
@@ -105,31 +94,34 @@ final class SubGraphState(
     // later iteration; termination is unaffected because some partition is
     // always below cap while edges remain.
     def feasible(q: Int): Boolean = quota == null || delta(q) < quota(q)
+    val local = selOrder.map(x => graph.localId(x._1))
+    val selPart = Array.fill(graph.numVertices)(-1) // first selecting partition
     var i = 0
     while (i < selOrder.length) {
-      val (v, p) = selOrder(i)
-      if (vertexIndex.containsKey(v)) {
-        val lv = vertexIndex.get(v)
+      if (local(i) >= 0 && selPart(local(i)) < 0) selPart(local(i)) = selOrder(i)._2
+      i += 1
+    }
+    i = 0
+    while (i < selOrder.length) {
+      val lv = local(i)
+      val p = selOrder(i)._2
+      if (lv >= 0) {
         var k = adjOff(lv)
         val end = adjOff(lv + 1)
         while (k < end) {
           val e = adjEdge(k)
           if (alloc(e) < 0) {
-            val w = if (srcs(e) == v) dsts(e) else srcs(e)
-            val other = sel.get(java.lang.Long.valueOf(w))
+            val q = selPart(graph.other(e, lv))
             val winner =
-              if (other == null || other.intValue() == p) { if (feasible(p)) p else -1 }
-              else {
-                val q = other.intValue()
-                (feasible(p), feasible(q)) match {
-                  case (true, false) => p
-                  case (false, true) => q
-                  case (false, false) => -1
-                  case (true, true) =>
-                    val loadP = sizes(p) + delta(p)
-                    val loadQ = sizes(q) + delta(q)
-                    if (loadP < loadQ || (loadP == loadQ && p < q)) p else q
-                }
+              if (q < 0 || q == p) { if (feasible(p)) p else -1 }
+              else (feasible(p), feasible(q)) match {
+                case (true, false) => p
+                case (false, true) => q
+                case (false, false) => -1
+                case (true, true) =>
+                  val loadP = sizes(p) + delta(p)
+                  val loadQ = sizes(q) + delta(q)
+                  if (loadP < loadQ || (loadP == loadQ && p < q)) p else q
               }
             if (winner >= 0) {
               allocateEdge(e, winner, msgs)
@@ -154,8 +146,8 @@ final class SubGraphState(
     val local = new ArrayBuffer[(Int, Int)]()
     while (msgs.hasNext) {
       val (x, p) = msgs.next()
-      if (vertexIndex.containsKey(x)) {
-        val lx = vertexIndex.get(x)
+      val lx = graph.localId(x)
+      if (lx >= 0) {
         val key = lx.toLong * 0x100000000L + p
         if (seen.add(key)) {
           addMembership(lx, p)
@@ -184,9 +176,7 @@ final class SubGraphState(
       while (k < end) {
         val e = adjEdge(k)
         if (alloc(e) < 0) {
-          val u = vertexIds(lu)
-          val w = if (srcs(e) == u) dsts(e) else srcs(e)
-          val lw = vertexIndex.get(w)
+          val lw = graph.other(e, lu)
           val pNew = leastLoadedShared(memberships(lu), memberships(lw), sizes, delta, quota)
           if (pNew >= 0) {
             val before = ignored.length
@@ -246,7 +236,7 @@ final class SubGraphState(
     * Feeds the driver's random-vertex pool (Alg. 1 line 7).
     */
   def sampleUnallocated(k: Int, seed: Long): Array[Long] = {
-    val n = numLocalVertices
+    val n = graph.numVertices
     if (n == 0) return Array.empty
     val start = (java.lang.Long.remainderUnsigned(repro.graph.Hashing.mix64(seed ^ cellId), n.toLong)).toInt
     val out = new ArrayBuffer[Long](k)
@@ -261,49 +251,18 @@ final class SubGraphState(
 
   /** Final assignment triples; only valid once every edge is allocated. */
   def assignments: Iterator[(Long, Long, Int)] =
-    (0 until numEdges).iterator.map { e =>
+    (0 until graph.numEdges).iterator.map { e =>
       require(alloc(e) >= 0, s"edge $e in cell $cellId left unallocated")
-      (srcs(e), dsts(e), alloc(e))
+      (vertexIds(graph.lsrc(e)), vertexIds(graph.ldst(e)), alloc(e))
     }
 }
 
 object SubGraphState {
 
-  /** Builds the CSR state for one grid cell from its local edge list. */
+  /** The initial (nothing allocated) state of one grid cell. */
   def build(cellId: Int, edges: Array[(Long, Long)]): SubGraphState = {
-    val m = edges.length
-    val srcs = new Array[Long](m)
-    val dsts = new Array[Long](m)
-    var i = 0
-    while (i < m) { srcs(i) = edges(i)._1; dsts(i) = edges(i)._2; i += 1 }
-
-    val vertexIndex = new java.util.HashMap[Long, Int]()
-    val ids = new ArrayBuffer[Long]()
-    def intern(x: Long): Int =
-      if (vertexIndex.containsKey(x)) vertexIndex.get(x)
-      else { val nid = ids.length; vertexIndex.put(x, nid); ids += x; nid }
-    val lsrc = new Array[Int](m)
-    val ldst = new Array[Int](m)
-    i = 0
-    while (i < m) { lsrc(i) = intern(srcs(i)); ldst(i) = intern(dsts(i)); i += 1 }
-    val n = ids.length
-    val deg = new Array[Int](n)
-    i = 0
-    while (i < m) { deg(lsrc(i)) += 1; deg(ldst(i)) += 1; i += 1 }
-    val adjOff = new Array[Int](n + 1)
-    i = 0
-    while (i < n) { adjOff(i + 1) = adjOff(i) + deg(i); i += 1 }
-    val cursor = adjOff.clone()
-    val adjEdge = new Array[Int](2 * m)
-    i = 0
-    while (i < m) {
-      adjEdge(cursor(lsrc(i))) = i; cursor(lsrc(i)) += 1
-      adjEdge(cursor(ldst(i))) = i; cursor(ldst(i)) += 1
-      i += 1
-    }
-    val allocArr = Array.fill(m)(-1)
-    val membershipsArr: Array[Array[Int]] = Array.fill(n)(Array.emptyIntArray)
-    new SubGraphState(cellId, srcs, dsts, ids.toArray, vertexIndex, adjOff,
-      adjEdge, allocArr, membershipsArr, deg)
+    val g = LocalGraph.build(edges)
+    new SubGraphState(cellId, g, Array.fill(g.numEdges)(-1),
+      Array.fill(g.numVertices)(Array.emptyIntArray), Array.tabulate(g.numVertices)(g.degree))
   }
 }

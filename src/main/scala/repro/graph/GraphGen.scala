@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 /** Synthetic graph generators standing in for the paper's datasets.
   *
@@ -167,13 +167,5 @@ object GraphGen {
          java.lang.Long.remainderUnsigned(mix64(s + 1), n))
       }
     canonicalize(spark.sparkContext.union((parts :+ bridges).toSeq))
-  }
-
-  /** Canonical edge RDD as a DataFrame with columns (u, v) — the handoff
-    * point to Catalyst for metrics and Oracle checks.
-    */
-  def toDF(spark: SparkSession, edges: RDD[(Long, Long)]): DataFrame = {
-    import spark.implicits._
-    edges.toDF("u", "v")
   }
 }

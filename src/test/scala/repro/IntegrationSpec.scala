@@ -1,9 +1,12 @@
 package repro
 
+import org.apache.spark.HashPartitioner
+
 import repro.apps.GasEngine
 import repro.bench.{Datasets, Runners, TextTable}
-import repro.core.CellPartitioner
 import repro.graph.{GraphGen, LocalMetrics}
+
+import scala.util.hashing.MurmurHash3
 
 /** End-to-end pipeline tests: generate → partition (every method in the
   * paper's tables) → measure → run applications, on a small RMAT graph.
@@ -19,6 +22,16 @@ class IntegrationSpec extends SparkSpec {
     Seq("Rand.", "2D-R.", "DBH", "Obli.", "H.G.", "HDRF", "NE", "SNE",
         "Sheep", "P.M.", "X.P.", "Spinner", "D.NE")
 
+  // MurmurHash3 of the sorted (u, v, part) triples at p = 8. Pins each
+  // partitioner's exact output, so a refactor that changes any assignment
+  // fails here.
+  private val expectedChecksum = Map(
+    "Rand." -> -403999764, "2D-R." -> 1291865056, "DBH" -> 2036926616,
+    "Obli." -> 348705745, "H.G." -> 112381244, "HDRF" -> 1017660526,
+    "NE" -> -1924690817, "SNE" -> -1998482089, "Sheep" -> -254704891,
+    "P.M." -> 515623961, "X.P." -> -1437808481, "Spinner" -> -1626491157,
+    "D.NE" -> -2100361753)
+
   for (method <- allMethods) {
     test(s"pipeline[$method]: total, in-range, measurable assignment") {
       val r = Runners.run(method, spark, rdd, edges, p = 8)
@@ -27,6 +40,9 @@ class IntegrationSpec extends SparkSpec {
       assert(r.rf >= 1.0 && r.rf <= 8.0)
       assert(r.eb >= 1.0 && r.vb >= 1.0)
       assert(r.seconds >= 0.0)
+      val triples = r.edges.indices.map(i => (r.edges(i)._1, r.edges(i)._2, r.assign(i))).sorted
+      val checksum = MurmurHash3.seqHash(triples)
+      assert(checksum == expectedChecksum(method), s"$method output changed: checksum $checksum")
     }
   }
 
@@ -53,8 +69,8 @@ class IntegrationSpec extends SparkSpec {
       val r = Runners.run(m, spark, rdd, edges, 8)
       val engine = new GasEngine(r.edges, r.assign, 8)
       val (dist, _) = engine.sssp(src)
-      (0 until engine.st.numLocalVertices).foreach { lv =>
-        val v = engine.st.vertexIds(lv)
+      (0 until engine.graph.numVertices).foreach { lv =>
+        val v = engine.graph.vertexIds(lv)
         assert(dist(lv) == reference.getOrElse(v, Long.MaxValue),
           s"$m changed SSSP result at vertex $v")
       }
@@ -93,12 +109,13 @@ class IntegrationSpec extends SparkSpec {
       Runners.run("nope", spark, rdd, edges, 4))
   }
 
-  test("CellPartitioner routes keys identically to their cell id") {
-    val cp = new CellPartitioner(16)
+  test("HashPartitioner routes cell keys identically to their cell id") {
+    // DistributedNE keys its per-cell RDDs by cell id in [0, numCells)
+    val cp = new HashPartitioner(16)
     assert(cp.numPartitions == 16)
     (0 until 16).foreach(i => assert(cp.getPartition(i) == i))
-    assert(cp == new CellPartitioner(16))
-    assert(cp != new CellPartitioner(8))
+    assert(cp == new HashPartitioner(16))
+    assert(cp != new HashPartitioner(8))
   }
 
   test("TextTable renders aligned rows and formats doubles") {

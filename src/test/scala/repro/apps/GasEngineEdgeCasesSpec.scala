@@ -9,8 +9,8 @@ class GasEngineEdgeCasesSpec extends AnyFunSuite {
     val edges = TestGraphs.twoTriangles.take(6) // drop the bridge
     val e = new GasEngine(edges, TestGraphs.randomAssign(edges, 2), 2)
     val (dist, _) = e.sssp(0L)
-    val reach = (0 until e.st.numLocalVertices)
-      .map(lv => e.st.vertexIds(lv) -> dist(lv)).toMap
+    val reach = (0 until e.graph.numVertices)
+      .map(lv => e.graph.vertexIds(lv) -> dist(lv)).toMap
     assert(reach(1L) == 1 && reach(2L) == 1)
     assert(reach(3L) == Long.MaxValue && reach(5L) == Long.MaxValue)
   }
@@ -42,9 +42,9 @@ class GasEngineEdgeCasesSpec extends AnyFunSuite {
     val edges = TestGraphs.star(10)
     val e = new GasEngine(edges, TestGraphs.randomAssign(edges, 2), 2)
     val (ranks, _) = e.pageRank(30)
-    val hub = ranks(e.st.vertexIndex.get(0L))
+    val hub = ranks(e.graph.localId(0L))
     (1L to 10L).foreach { leaf =>
-      assert(hub > ranks(e.st.vertexIndex.get(leaf)) * 3)
+      assert(hub > ranks(e.graph.localId(leaf)) * 3)
     }
   }
 

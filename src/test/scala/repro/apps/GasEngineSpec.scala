@@ -16,7 +16,7 @@ class GasEngineSpec extends AnyFunSuite {
     val edges = TestGraphs.twoTriangles
     val assign = Array(0, 0, 0, 1, 1, 1, 0) // bridge (2,3) on partition 0
     val e = new GasEngine(edges, assign, 2)
-    def reps(x: Long) = e.replicaParts(e.st.vertexIndex.get(x)).toSeq
+    def reps(x: Long) = e.replicaParts(e.graph.localId(x)).toSeq
     assert(reps(0L) == Seq(0))
     assert(reps(3L) == Seq(0, 1)) // bridge replicates vertex 3
     assert(reps(5L) == Seq(1))
@@ -24,7 +24,7 @@ class GasEngineSpec extends AnyFunSuite {
 
   test("master is always one of the replicas") {
     val e = engineOf(skewed, 8)
-    (0 until e.st.numLocalVertices).foreach { lv =>
+    (0 until e.graph.numVertices).foreach { lv =>
       assert(e.replicaParts(lv).contains(e.master(lv)))
     }
   }
@@ -49,8 +49,8 @@ class GasEngineSpec extends AnyFunSuite {
     val src = skewed.flatMap(x => Seq(x._1, x._2)).min
     val (dist, stats) = e.sssp(src)
     val ref = TestGraphs.bfsDistances(skewed, src)
-    (0 until e.st.numLocalVertices).foreach { lv =>
-      val v = e.st.vertexIds(lv)
+    (0 until e.graph.numVertices).foreach { lv =>
+      val v = e.graph.vertexIds(lv)
       val expected = ref.getOrElse(v, Long.MaxValue)
       assert(dist(lv) == expected, s"distance of $v: ${dist(lv)} vs BFS $expected")
     }
@@ -61,8 +61,8 @@ class GasEngineSpec extends AnyFunSuite {
     val src = skewed.flatMap(x => Seq(x._1, x._2)).min
     val e1 = engineOf(skewed, 4, seed = 1)
     val e2 = engineOf(skewed, 8, seed = 2)
-    val d1 = e1.sssp(src)._1.zipWithIndex.map { case (d, lv) => e1.st.vertexIds(lv) -> d }.toMap
-    val d2 = e2.sssp(src)._1.zipWithIndex.map { case (d, lv) => e2.st.vertexIds(lv) -> d }.toMap
+    val d1 = e1.sssp(src)._1.zipWithIndex.map { case (d, lv) => e1.graph.vertexIds(lv) -> d }.toMap
+    val d2 = e2.sssp(src)._1.zipWithIndex.map { case (d, lv) => e2.graph.vertexIds(lv) -> d }.toMap
     assert(d1 == d2, "partitioning must not change the algorithm's result")
   }
 
@@ -83,8 +83,8 @@ class GasEngineSpec extends AnyFunSuite {
     val e = engineOf(skewed, 8)
     val (labels, _) = e.wcc()
     val ref = TestGraphs.componentsByMinId(skewed)
-    (0 until e.st.numLocalVertices).foreach { lv =>
-      val v = e.st.vertexIds(lv)
+    (0 until e.graph.numVertices).foreach { lv =>
+      val v = e.graph.vertexIds(lv)
       assert(labels(lv) == ref(v), s"component of $v: ${labels(lv)} vs ${ref(v)}")
     }
   }
@@ -102,8 +102,8 @@ class GasEngineSpec extends AnyFunSuite {
     val e = engineOf(skewed, 8)
     val (ranks, _) = e.pageRank(iterations = 15)
     val ref = TestGraphs.pageRankReference(skewed, iterations = 15)
-    (0 until e.st.numLocalVertices).foreach { lv =>
-      val v = e.st.vertexIds(lv)
+    (0 until e.graph.numVertices).foreach { lv =>
+      val v = e.graph.vertexIds(lv)
       assert(math.abs(ranks(lv) - ref(v)) < 1e-8, s"rank of $v: ${ranks(lv)} vs ${ref(v)}")
     }
   }

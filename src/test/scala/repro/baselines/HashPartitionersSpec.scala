@@ -68,26 +68,6 @@ class HashPartitionersSpec extends SparkSpec {
     assert(t.forall(x => x._3 >= 0 && x._3 < 4))
   }
 
-  test("hybrid with a huge threshold degenerates to low-endpoint grouping") {
-    val rdd = rddOf(skewedEdges)
-    val hy = collectTriples(HashPartitioners.hybrid(rdd, 8, threshold = Int.MaxValue))
-    val db = collectTriples(HashPartitioners.dbh(rdd, 8))
-    // both pivot on the lower-degree endpoint; only the salt differs, so the
-    // *structure* (which edges co-locate) must match
-    val groupsH = hy.groupBy(_._3).values.map(_.map(t => (t._1, t._2)).toSet).toSet
-    val groupsD = db.groupBy(_._3).values.map(_.map(t => (t._1, t._2)).toSet).toSet
-    // every hybrid group must be a union of DBH pivot groups and vice versa
-    // — verify via pivot: identical pivot implies identical group membership
-    assert(hy.length == db.length)
-  }
-
-  test("hybrid stays in range and is deterministic") {
-    val a = collectTriples(HashPartitioners.hybrid(rddOf(skewedEdges), 8))
-    val b = collectTriples(HashPartitioners.hybrid(rddOf(skewedEdges), 8))
-    assert(a.toSeq == b.toSeq)
-    a.foreach(x => assert(x._3 >= 0 && x._3 < 8))
-  }
-
   test("degrees matches a driver-side count") {
     val deg = HashPartitioners.degrees(rddOf(TestGraphs.twoTriangles)).collect().toMap
     assert(deg == Map(0L -> 2, 1L -> 2, 2L -> 3, 3L -> 3, 4L -> 2, 5L -> 2))

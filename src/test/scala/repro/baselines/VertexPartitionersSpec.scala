@@ -50,13 +50,13 @@ class VertexPartitionersSpec extends SparkSpec {
 
   test("multilevel labels every vertex with an in-range partition") {
     val vp = MultilevelVertex.partition(road, 8)
-    assert(vp.labels.length == vp.st.numLocalVertices)
+    assert(vp.labels.length == vp.graph.numVertices)
     vp.labels.foreach(l => assert(l >= 0 && l < 8))
   }
 
   test("multilevel is near-perfect on the road lattice after conversion") {
     val vp = MultilevelVertex.partition(road, 8)
-    val rf = rfOf(road, VertexCutConversion.fromMultilevel(vp, road))
+    val rf = rfOf(road, VertexCutConversion.fromVertexPartition(vp, road))
     assert(rf < 1.6, s"multilevel road RF should be near 1, got $rf")
   }
 
@@ -111,7 +111,7 @@ class VertexPartitionersSpec extends SparkSpec {
 
   test("conversion assigns every edge one of its endpoints' labels") {
     val vp = LabelPropagation.spinner(skewed, 8)
-    def label(x: Long): Int = vp.labels(vp.st.vertexIndex.get(x))
+    def label(x: Long): Int = vp.labels(vp.graph.localId(x))
     val assign = VertexCutConversion.fromVertexPartition(vp, skewed)
     skewed.indices.foreach { i =>
       val (u, v) = skewed(i)

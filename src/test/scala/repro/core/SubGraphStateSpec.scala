@@ -5,27 +5,21 @@ import repro.TestGraphs
 
 class SubGraphStateSpec extends AnyFunSuite {
 
-  private def selMap(pairs: (Long, Int)*): java.util.HashMap[java.lang.Long, java.lang.Integer] = {
-    val m = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
-    pairs.foreach { case (v, p) => m.putIfAbsent(java.lang.Long.valueOf(v), java.lang.Integer.valueOf(p)) }
-    m
-  }
-
   test("build produces a consistent CSR") {
     val st = SubGraphState.build(0, TestGraphs.k4)
-    assert(st.numEdges == 6)
-    assert(st.numLocalVertices == 4)
-    assert(st.adjEdge.length == 12) // every edge under both endpoints
+    assert(st.graph.numEdges == 6)
+    assert(st.graph.numVertices == 4)
+    assert(st.graph.adjEdge.length == 12) // every edge under both endpoints
     // every vertex of K4 has degree 3
     (0 until 4).foreach { lv =>
-      assert(st.adjOff(lv + 1) - st.adjOff(lv) == 3)
+      assert(st.graph.adjOff(lv + 1) - st.graph.adjOff(lv) == 3)
       assert(st.unallocCount(lv) == 3)
     }
   }
 
   test("build of an empty cell is valid") {
     val st = SubGraphState.build(3, Array.empty)
-    assert(st.numEdges == 0 && st.numLocalVertices == 0)
+    assert(st.graph.numEdges == 0 && st.graph.numVertices == 0)
     assert(st.sampleUnallocated(5, 1L).isEmpty)
     assert(st.assignments.isEmpty)
   }
@@ -34,18 +28,18 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.star(5))
     val sel = Array((0L, 2)) // select the hub for partition 2
     val delta = new Array[Long](4)
-    val msgs = st.allocateOneHop(sel, selMap((0L, 2)), new Array[Long](4), delta)
+    val msgs = st.allocateOneHop(sel, new Array[Long](4), delta)
     assert(st.alloc.forall(_ == 2))
     assert(delta(2) == 5)
     // membership messages: hub + all 5 leaves got partition 2
     assert(msgs.toSet == (0L to 5L).map(x => (x, 2)).toSet)
-    assert((0 until st.numLocalVertices).forall(st.unallocCount(_) == 0))
+    assert((0 until st.graph.numVertices).forall(st.unallocCount(_) == 0))
   }
 
   test("one-hop allocation skips vertices not present locally") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](2)
-    val msgs = st.allocateOneHop(Array((99L, 0)), selMap((99L, 0)), new Array[Long](2), delta)
+    val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta)
     assert(msgs.isEmpty && st.alloc.forall(_ == -1))
   }
 
@@ -54,14 +48,22 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val sizes = Array(10L, 3L) // partition 1 is lighter
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 0), (1L, 1)), selMap((0L, 0), (1L, 1)), sizes, delta)
+    st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta)
     assert(st.alloc(0) == 1, "lighter partition must win the conflict")
   }
 
   test("conflict ties break to the smaller partition id") {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 1), (1L, 0)), selMap((0L, 1), (1L, 0)), Array(5L, 5L), delta)
+    st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta)
+    assert(st.alloc(0) == 0)
+  }
+
+  test("a vertex selected twice claims for its first partition in sorted order") {
+    // vertex 1 is selected by partitions 0 and 1; vertex 0's edge to it is a
+    // conflict against partition 0 (load tie, smaller id wins), not 1
+    val st = SubGraphState.build(0, Array((0L, 1L)))
+    st.allocateOneHop(Array((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3))
     assert(st.alloc(0) == 0)
   }
 
@@ -69,8 +71,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val bp = st.applySync(Iterator((0L, 1), (0L, 1), (2L, 3), (42L, 0)))
     assert(bp.length == 2) // (0,1) deduped; 42 not local
-    assert(st.memberships(st.vertexIndex.get(0L)).contains(1))
-    assert(st.memberships(st.vertexIndex.get(2L)).contains(3))
+    assert(st.memberships(st.graph.localId(0L)).contains(1))
+    assert(st.memberships(st.graph.localId(2L)).contains(3))
   }
 
   test("two-hop allocation takes exactly the edges whose endpoints share a partition") {
@@ -80,7 +82,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
     val delta = new Array[Long](1)
     st.allocateTwoHop(bp, Array(0L), delta)
-    val e12 = (0 until st.numEdges).find(e => st.srcs(e) == 1L && st.dsts(e) == 2L).get
+    val g = st.graph
+    val e12 = (0 until g.numEdges).find(e => g.lsrc(e) == g.localId(1L) && g.ldst(e) == g.localId(2L)).get
     assert(st.alloc(e12) == 0)
     assert(st.alloc.count(_ >= 0) == 1, "only the shared-membership edge may be taken")
     assert(delta(0) == 1)
@@ -97,7 +100,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("localDrest reports remaining degree and drops zeros") {
     val st = SubGraphState.build(0, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta) // takes (0,1)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta) // takes (0,1)
     val bp = st.applySync(Iterator((0L, 0), (1L, 0)))
     val reports = st.localDrest(bp)
     // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
@@ -108,7 +111,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val cp = st.copy()
     val delta = new Array[Long](1)
-    cp.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta)
+    cp.allocateOneHop(Array((0L, 0)), Array(0L), delta)
     assert(st.alloc.forall(_ == -1), "original must be untouched")
     assert(st.unallocCount.forall(_ == 3))
     assert(st.memberships.forall(_.isEmpty))
@@ -118,7 +121,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("sampleUnallocated only returns vertices with remaining edges") {
     val st = SubGraphState.build(0, TestGraphs.star(4))
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), selMap((0L, 0)), Array(0L), delta)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta)
     assert(st.sampleUnallocated(10, 1L).isEmpty)
   }
 
@@ -126,7 +129,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.path(20))
     val s1 = st.sampleUnallocated(5, 1L)
     assert(s1.length == 5)
-    s1.foreach(v => assert(st.vertexIndex.containsKey(v)))
+    s1.foreach(v => assert(st.graph.localId(v) >= 0))
   }
 
   test("assignments require full allocation") {
@@ -137,8 +140,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("assignments emit every edge once after full allocation") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](1)
-    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray,
-      selMap((0L to 3L).map(x => (x, 0)): _*), Array(0L), delta)
+    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta)
     val as = st.assignments.toArray
     assert(as.length == 6 && as.forall(_._3 == 0))
   }

@@ -111,10 +111,4 @@ class GraphGenSpec extends SparkSpec {
     assert(intra.toDouble / edges.length > 0.8, "communities should dominate the edge mass")
     assert(edges.exists { case (u, v) => commOf(u) != commOf(v) }, "expected bridge edges")
   }
-
-  test("toDF yields the canonical (u,v) schema") {
-    val df = GraphGen.toDF(spark, spark.sparkContext.parallelize(Seq((1L, 2L))))
-    assert(df.columns.toSeq == Seq("u", "v"))
-    assert(df.count() == 1)
-  }
 }
