@@ -51,17 +51,17 @@ object PartitionJob {
     val method = args(0)
     val name = args(1)
     val p = if (args.length > 2) args(2).toInt else 64
+    if (!Runners.methods.contains(method))
+      throw new IllegalArgumentException(
+        s"unknown method '$method'; known: " + Runners.methods.mkString(", "))
     val spark = JobSession.create(s"partition-$method-$name")
     val spec = (Datasets.skewed ++ Datasets.roads).find(_.name == name)
       .getOrElse(throw new IllegalArgumentException(
         s"unknown graph '$name'; known: " +
         (Datasets.skewed ++ Datasets.roads).map(_.name).mkString(", ")))
-    val rdd = spec.edges(spark).cache()
-    rdd.count()
-    val edges = Datasets.collect(spark, spec)
-    val r = Runners.run(method, spark, rdd, edges, p)
+    val r = Runners.runAll(spark, spec, Seq(method), p).head
     println(f"method=$method graph=$name P=$p RF=${r.rf}%.3f EB=${r.eb}%.3f " +
-            f"VB=${r.vb}%.3f time=${r.seconds}%.2fs edges=${edges.length}")
+            f"VB=${r.vb}%.3f time=${r.seconds}%.2fs edges=${r.edges.length}")
     spark.stop()
   }
 }

@@ -21,8 +21,7 @@ import repro.graph.{Hashing, LocalGraph}
   * the raw counters. Supports up to 64 partitions (proposer sets are Long
   * bitmasks) — every Table 5/6 configuration uses |P| = 64.
   */
-final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
-                      val numParts: Int, cost: CostModel = CostModel.default) {
+final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int], val numParts: Int) {
   require(edges.length == assign.length, "assignment must cover every edge")
   require(numParts >= 1 && numParts <= 64, s"engine supports 1..64 partitions, got $numParts")
   require(assign.forall(p => p >= 0 && p < numParts), "partition id out of range")
@@ -73,7 +72,7 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     out
   }
 
-  import GasEngine.Stats
+  import GasEngine.{Damping, Stats}
 
   /** Frontier-driven min-propagation: the common core of SSSP (unit
     * weights, as run on PowerLyra) and WCC (min-label flooding).
@@ -142,7 +141,7 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
         p += 1
       }
       comBytes += stepBytes
-      elapsed += cost.superstepSeconds(maxWork, stepBytes)
+      elapsed += CostModel.default.superstepSeconds(maxWork, stepBytes)
       frontier = next.toArray
     }
     (value, Stats(app, supersteps, comBytes, elapsed, balance(totalWork), totalWork))
@@ -170,16 +169,16 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     * both ways; the ranks themselves are computed exactly (and verified
     * against a reference in tests).
     */
-  def pageRank(iterations: Int, damping: Double = 0.85): (Array[Double], Stats) = {
+  def pageRank(iterations: Int): (Array[Double], Stats) = {
     require(iterations >= 1)
     val deg = Array.tabulate(n)(graph.degree)
     var rank = Array.fill(n)(1.0 / math.max(1, n))
     var iter = 0
     while (iter < iterations) {
-      val next = Array.fill(n)((1.0 - damping) / math.max(1, n))
+      val next = Array.fill(n)((1.0 - Damping) / math.max(1, n))
       var lv = 0
       while (lv < n) {
-        val contrib = if (deg(lv) == 0) 0.0 else damping * rank(lv) / deg(lv)
+        val contrib = if (deg(lv) == 0) 0.0 else Damping * rank(lv) / deg(lv)
         var k = graph.adjOff(lv)
         while (k < graph.adjOff(lv + 1)) {
           next(graph.other(graph.adjEdge(k), lv)) += contrib
@@ -197,7 +196,7 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
     val workPerIter = Array.tabulate(numParts)(p => 2L * edgesPerPart(p) + replicasPerPart(p))
     val totalWork = workPerIter.map(_ * iterations)
     val maxWork = workPerIter.max
-    val elapsed = iterations * cost.superstepSeconds(maxWork, perIterBytes)
+    val elapsed = iterations * CostModel.default.superstepSeconds(maxWork, perIterBytes)
     (rank, Stats("PageRank", iterations, perIterBytes * iterations, elapsed,
                  balance(totalWork), totalWork))
   }
@@ -209,6 +208,8 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int],
 }
 
 object GasEngine {
+  private final val Damping = 0.85
+
   /** Per-application counters: exact communication bytes and per-partition
     * work, plus the modeled elapsed time (see [[CostModel]]).
     */

@@ -16,9 +16,12 @@ import scala.collection.mutable
   */
 object HDRF {
 
-  def partition(edges: Array[(Long, Long)], p: Int,
-                balance: Double = 1.1, eps: Double = 1e-3,
-                alpha: Double = 1.1, shuffleSeed: Long = 97L): Array[Int] = {
+  private val Balance = 1.1     // weight `bal` of the balance term
+  private val Eps = 1e-3        // ε in C_BAL
+  private val Alpha = 1.1       // hard capacity α·|E|/|P|
+  private val ShuffleSeed = 97L // stream order permutation
+
+  def partition(edges: Array[(Long, Long)], p: Int): Array[Int] = {
     require(p >= 1)
     val out = new Array[Int](edges.length)
     val replicas = new mutable.HashMap[Long, mutable.BitSet]()
@@ -32,10 +35,10 @@ object HDRF {
     // paper). The hard capacity below is standard in HDRF implementations —
     // without it the replication term snowballs one partition.
     val order = edges.indices.toArray
-    val rnd = new java.util.Random(shuffleSeed)
+    val rnd = new java.util.Random(ShuffleSeed)
     var j = order.length - 1
     while (j > 0) { val k = rnd.nextInt(j + 1); val t = order(j); order(j) = order(k); order(k) = t; j -= 1 }
-    val cap = math.ceil(alpha * edges.length / p).toLong
+    val cap = math.ceil(Alpha * edges.length / p).toLong
 
     var i = 0
     while (i < edges.length) {
@@ -54,8 +57,8 @@ object HDRF {
         if (load(q) < cap) {
           val gU = if (au.contains(q)) 1.0 + (1.0 - thetaU) else 0.0
           val gV = if (av.contains(q)) 1.0 + (1.0 - thetaV) else 0.0
-          val cBal = (maxLoad - load(q)).toDouble / (eps + (maxLoad - minLoad).toDouble)
-          val score = gU + gV + balance * cBal
+          val cBal = (maxLoad - load(q)).toDouble / (Eps + (maxLoad - minLoad).toDouble)
+          val score = gU + gV + Balance * cBal
           if (score > bestScore) { bestScore = score; best = q }
         }
         q += 1

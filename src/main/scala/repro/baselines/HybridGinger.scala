@@ -13,9 +13,10 @@ import scala.collection.mutable
   */
 object HybridGinger {
 
+  private val BalanceWeight = 1.0 // weight of Fennel's load penalty
+
   def partition(edges: Array[(Long, Long)], p: Int,
-                threshold: Int = 100, rounds: Int = 3,
-                balanceWeight: Double = 1.0): Array[Int] = {
+                threshold: Int = 100, rounds: Int = 3): Array[Int] = {
     require(p >= 1)
     val degree = new mutable.HashMap[Long, Int]()
     edges.foreach { case (u, v) =>
@@ -43,7 +44,7 @@ object HybridGinger {
 
     val eCount = new Array[Double](p)
     edges.foreach { case (u, v) => eCount(placeEdge(u, v)) += 1 }
-    val gamma = balanceWeight * p.toDouble / math.max(1, edges.length)
+    val gamma = BalanceWeight * p.toDouble / math.max(1, edges.length)
     // hard capacity, as in Ginger's balance constraint: a bundle move may
     // not push a partition past capacityFactor × |E|/|P|
     val cap = 1.2 * edges.length / p

@@ -18,20 +18,21 @@ import scala.collection.mutable
   */
 object LabelPropagation {
 
+  private val Seed = 42L
+  private val CapacityFactor = 1.05 // label-load cap as a multiple of the mean
+
   def spinner(edges: Array[(Long, Long)], p: Int,
-              iterations: Int = 20, seed: Long = 42L,
-              capacityFactor: Double = 1.05): VertexPartition = {
+              iterations: Int = 20): VertexPartition = {
     val g = LocalGraph.build(edges)
     val labels = Array.tabulate(g.numVertices) { lv =>
-      Hashing.bucket(g.vertexIds(lv), p, seed)
+      Hashing.bucket(g.vertexIds(lv), p, Seed)
     }
-    refine(g, labels, p, iterations, capacityFactor)
+    refine(g, labels, p, iterations)
     VertexPartition(g, labels)
   }
 
   def xtrapulp(edges: Array[(Long, Long)], p: Int,
-               iterations: Int = 20, seed: Long = 42L,
-               capacityFactor: Double = 1.05): VertexPartition = {
+               iterations: Int = 20): VertexPartition = {
     val g = LocalGraph.build(edges)
     val n = g.numVertices
     val labels = Array.fill(n)(-1)
@@ -41,7 +42,7 @@ object LabelPropagation {
       val queue = mutable.Queue.empty[Int]
       var q = 0
       while (q < p) {
-        val s = Math.floorMod(Hashing.mix64(seed + q), n.toLong).toInt
+        val s = Math.floorMod(Hashing.mix64(Seed + q), n.toLong).toInt
         if (labels(s) < 0) { labels(s) = q; queue.enqueue(s) }
         q += 1
       }
@@ -67,15 +68,14 @@ object LabelPropagation {
         }
       }
     }
-    refine(g, labels, p, iterations, capacityFactor)
+    refine(g, labels, p, iterations)
     VertexPartition(g, labels)
   }
 
   /** Capacity-aware LP sweep: each vertex adopts the most frequent neighbor
-    * label whose projected degree-load stays below `capacityFactor` × mean.
+    * label whose projected degree-load stays below `CapacityFactor` × mean.
     */
-  private def refine(g: LocalGraph, labels: Array[Int], p: Int,
-                     iterations: Int, capacityFactor: Double): Unit = {
+  private def refine(g: LocalGraph, labels: Array[Int], p: Int, iterations: Int): Unit = {
     val n = g.numVertices
     if (n == 0) return
     val degLoad = new Array[Long](p)
@@ -84,7 +84,7 @@ object LabelPropagation {
       degLoad(labels(lv)) += g.degree(lv)
       lv += 1
     }
-    val cap = math.max(1L, (capacityFactor * degLoad.sum / p).toLong)
+    val cap = math.max(1L, (CapacityFactor * degLoad.sum / p).toLong)
     val counts = new Array[Int](p)
     var it = 0
     var changedAny = true

@@ -22,8 +22,10 @@ object MultilevelVertex {
       vw: Array[Int],               // vertex weights (coarse multiplicities)
       fineToCoarse: Array[Int])     // map from the finer level's ids
 
-  def partition(edges: Array[(Long, Long)], p: Int,
-                seed: Long = 42L, balance: Double = 1.05): VertexPartition = {
+  private val Seed = 42L
+  private val Balance = 1.05 // vertex-weight cap as a multiple of the mean
+
+  def partition(edges: Array[(Long, Long)], p: Int): VertexPartition = {
     val g = LocalGraph.build(edges)
     val n = g.numVertices
     if (n == 0) return VertexPartition(g, Array.empty)
@@ -43,7 +45,7 @@ object MultilevelVertex {
     while (cur > targetSize && round < 30) {
       val matchTo = Array.fill(cur)(-1)
       val order = Array.tabulate(cur)(identity)
-        .sortBy(i => Hashing.mix64(seed + round * 1000003L + i))
+        .sortBy(i => Hashing.mix64(Seed + round * 1000003L + i))
       order.foreach { i =>
         if (matchTo(i) < 0) {
           var best = -1; var bestW = -1
@@ -95,35 +97,34 @@ object MultilevelVertex {
     }
 
     // --- initial partition: greedy region growing on the coarsest graph ---
-    var labels = growRegions(adj, vw, p, seed, balance)
+    var labels = growRegions(adj, vw, p)
 
     // --- uncoarsen + refine ---
     var li = levels.length - 1
-    refineBoundary(adj, w, vw, labels, p, balance, passes = 4)
+    refineBoundary(adj, w, vw, labels, p, passes = 4)
     while (li >= 0) {
       val level = levels(li)
       val fine = new Array[Int](level.adj.length)
       var i = 0
       while (i < fine.length) { fine(i) = labels(level.fineToCoarse(i)); i += 1 }
       labels = fine
-      refineBoundary(level.adj, level.w, level.vw, labels, p, balance, passes = 2)
+      refineBoundary(level.adj, level.w, level.vw, labels, p, passes = 2)
       li -= 1
     }
     VertexPartition(g, labels)
   }
 
   /** BFS region growing balanced on vertex weight. */
-  private def growRegions(adj: Array[Array[Int]], vw: Array[Int], p: Int,
-                          seed: Long, balance: Double): Array[Int] = {
+  private def growRegions(adj: Array[Array[Int]], vw: Array[Int], p: Int): Array[Int] = {
     val n = adj.length
     val labels = Array.fill(n)(-1)
     val totalW = vw.map(_.toLong).sum
-    val cap = math.max(1L, (balance * totalW / p).toLong)
+    val cap = math.max(1L, (Balance * totalW / p).toLong)
     val loads = new Array[Long](p)
     val queues = Array.fill(p)(mutable.Queue.empty[Int])
     var q = 0
     while (q < p && q < n) {
-      val s = Math.floorMod(Hashing.mix64(seed * 31 + q), n.toLong).toInt
+      val s = Math.floorMod(Hashing.mix64(Seed * 31 + q), n.toLong).toInt
       val s2 = if (labels(s) < 0) s else (0 until n).find(labels(_) < 0).getOrElse(-1)
       if (s2 >= 0) { labels(s2) = q; loads(q) += vw(s2); queues(q).enqueue(s2) }
       q += 1
@@ -162,13 +163,13 @@ object MultilevelVertex {
     */
   private def refineBoundary(adj: Array[Array[Int]], w: Array[Array[Int]],
                              vw: Array[Int], labels: Array[Int], p: Int,
-                             balance: Double, passes: Int): Unit = {
+                             passes: Int): Unit = {
     val n = adj.length
     if (n == 0) return
     val loads = new Array[Long](p)
     var i = 0
     while (i < n) { loads(labels(i)) += vw(i); i += 1 }
-    val cap = math.max(1L, (balance * loads.sum / p).toLong)
+    val cap = math.max(1L, (Balance * loads.sum / p).toLong)
     val gain = new Array[Long](p)
     var pass = 0
     var moved = true

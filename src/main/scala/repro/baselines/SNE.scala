@@ -17,13 +17,14 @@ import scala.collection.mutable
   */
 object SNE {
 
-  def partition(edges: Array[(Long, Long)], p: Int, chunkEdges: Int,
-                alpha: Double = 1.1, seed: Long = 42L): Array[Int] = {
+  private val Alpha = 1.1 // capacity α·|E|/|P| per partition
+
+  def partition(edges: Array[(Long, Long)], p: Int, chunkEdges: Int): Array[Int] = {
     require(p >= 1 && chunkEdges >= 1)
     val m = edges.length
     val out = new Array[Int](m)
     if (m == 0) return out
-    val cap = math.ceil(alpha * m / p).toLong
+    val cap = math.ceil(Alpha * m / p).toLong
     val member = new mutable.HashMap[Long, mutable.BitSet]()
     val sizes = new Array[Long](p)
 

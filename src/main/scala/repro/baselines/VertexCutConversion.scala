@@ -13,17 +13,16 @@ final case class VertexPartition(graph: LocalGraph, labels: Array[Int])
   */
 object VertexCutConversion {
 
-  def toEdgePartition(edges: Array[(Long, Long)],
-                      labelOf: Long => Int,
-                      seed: Long = 7L): Array[Int] =
+  private val Seed = 7L
+
+  def toEdgePartition(edges: Array[(Long, Long)], labelOf: Long => Int): Array[Int] =
     edges.map { case (u, v) =>
       val pu = labelOf(u); val pv = labelOf(v)
       if (pu == pv) pu
-      else if ((Hashing.mix64(seed ^ Hashing.mix64(u) ^ v) & 1L) == 0L) pu
+      else if ((Hashing.mix64(Seed ^ Hashing.mix64(u) ^ v) & 1L) == 0L) pu
       else pv
     }
 
-  def fromVertexPartition(vp: VertexPartition, edges: Array[(Long, Long)],
-                          seed: Long = 7L): Array[Int] =
-    toEdgePartition(edges, x => vp.labels(vp.graph.localId(x)), seed)
+  def fromVertexPartition(vp: VertexPartition, edges: Array[(Long, Long)]): Array[Int] =
+    toEdgePartition(edges, x => vp.labels(vp.graph.localId(x)))
 }

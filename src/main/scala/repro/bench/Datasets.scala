@@ -61,13 +61,4 @@ object Datasets {
     GraphSpec("penn-like", "Penn.", s => GraphGen.roadLattice(s, 180, 180, seed = 22)),
     GraphSpec("texas-like", "Tex.", s => GraphGen.roadLattice(s, 200, 200, seed = 23)),
   )
-
-  /** Collected canonical edges, deterministically ordered — the handoff to
-    * the driver-side comparators (HDRF/NE/SNE/Sheep/ParMETIS-like/LP).
-    */
-  def collect(spark: SparkSession, spec: GraphSpec): Array[(Long, Long)] = {
-    val a = spec.edges(spark).collect()
-    scala.util.Sorting.quickSort(a)(Ordering.Tuple2[Long, Long])
-    a
-  }
 }

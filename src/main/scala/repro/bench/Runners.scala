@@ -16,9 +16,56 @@ object Runners {
                              seconds: Double, edges: Array[(Long, Long)],
                              assign: Array[Int])
 
-  /** Collects an RDD assignment into aligned (edges, parts) arrays. */
+  private type Edges = Array[(Long, Long)]
+
+  /** Spark-side methods, named as in the paper's tables: they consume the
+    * edge RDD and return (u, v, part) triples — the distributed systems of
+    * the paper.
+    */
+  private val sparkSide: Seq[(String, (SparkSession, RDD[(Long, Long)], Int) => RDD[(Long, Long, Int)])] =
+    Seq(
+      ("Rand.", (_, rdd, p) => HashPartitioners.random1D(rdd, p)),
+      ("2D-R.", (_, rdd, p) => HashPartitioners.grid(rdd, p)),
+      ("DBH", (_, rdd, p) => HashPartitioners.dbh(rdd, p)),
+      ("Obli.", (_, rdd, p) => Oblivious.partition(rdd, p)),
+      ("D.NE", (spark, rdd, p) =>
+        DistributedNE.partition(spark, rdd, DistributedNE.Config(p)).assignments),
+    )
+
+  /** Driver-side methods: they consume the sorted edge array and return one
+    * part per edge — the sequential/external comparators of the paper.
+    */
+  private val driverSide: Seq[(String, (Edges, Int) => Array[Int])] =
+    Seq(
+      ("H.G.", HybridGinger.partition(_, _)),
+      ("HDRF", HDRF.partition(_, _)),
+      ("NE", (edges, p) => SequentialNE.partition(edges, SequentialNE.Config(p))),
+      // SNE's buffer holds ~100 M edges in the original; every stand-in
+      // fits in one buffer, so the faithful setting is a single chunk.
+      // Smaller buffers (the memory/quality trade-off) are exercised in
+      // unit tests.
+      ("SNE", (edges, p) => SNE.partition(edges, p, chunkEdges = math.max(1, edges.length))),
+      ("Sheep", Sheep.partition(_, _)),
+      ("P.M.", vertexCut(MultilevelVertex.partition(_, _))),
+      ("X.P.", vertexCut(LabelPropagation.xtrapulp(_, _))),
+      ("Spinner", vertexCut(LabelPropagation.spinner(_, _))),
+    )
+
+  /** Every partitioner [[run]] accepts. */
+  val methods: Seq[String] = (sparkSide ++ driverSide).map(_._1)
+
+  /** A vertex partitioner evaluated as an edge partitioner (each edge goes
+    * to one endpoint's partition, see [[VertexCutConversion]]).
+    */
+  private def vertexCut(vp: (Edges, Int) => VertexPartition): (Edges, Int) => Array[Int] =
+    (edges, p) => VertexCutConversion.fromVertexPartition(vp(edges, p), edges)
+
+  /** Collects an RDD assignment into aligned (edges, parts) arrays sorted by
+    * edge, and unpersists the RDD.
+    */
   def collectAssign(rdd: RDD[(Long, Long, Int)]): (Array[(Long, Long)], Array[Int]) = {
     val triples = rdd.collect()
+    rdd.unpersist(blocking = false)
     scala.util.Sorting.quickSort(triples)(Ordering.by[(Long, Long, Int), (Long, Long)](t => (t._1, t._2)))
     (triples.map(t => (t._1, t._2)), triples.map(_._3))
   }
@@ -39,71 +86,31 @@ object Runners {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Runs the partitioner named as in the paper's tables.
-    *
-    * Spark-side methods (Rand., 2D-R., Obli., D.NE) consume the RDD;
-    * driver-side comparators (H.G., HDRF, NE, SNE, Sheep, P.M., X.P.)
-    * consume the pre-collected edge array — mirroring what each system is
-    * in the paper (distributed vs sequential/external comparator).
+  /** Runs the partitioner named `method` (one of [[methods]]) into `p`
+    * parts. Spark-side methods partition `rdd` and are timed up to their
+    * collected assignment; driver-side methods partition `edges`, which
+    * must hold the same edges in sorted order.
     */
   def run(method: String, spark: SparkSession, rdd: RDD[(Long, Long)],
-          edges: Array[(Long, Long)], p: Int, seed: Long = 42L): RunResult =
-    method match {
-      case "Rand." =>
-        val (a, s) = timed(collectAssign(HashPartitioners.random1D(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "2D-R." =>
-        val (a, s) = timed(collectAssign(HashPartitioners.grid(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "DBH" =>
-        val (a, s) = timed(collectAssign(HashPartitioners.dbh(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "Obli." =>
-        val (a, s) = timed(collectAssign(Oblivious.partition(rdd, p)))
-        metricsOf(method, a._1, a._2, s)
-      case "H.G." =>
-        val (a, s) = timed(HybridGinger.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "HDRF" =>
-        val (a, s) = timed(HDRF.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "NE" =>
-        val (a, s) = timed(SequentialNE.partition(edges, SequentialNE.Config(p, seed = seed)))
-        metricsOf(method, edges, a, s)
-      case "SNE" =>
-        // SNE's buffer holds ~100 M edges in the original; every stand-in
-        // fits in one buffer, so the faithful setting is a single chunk.
-        // Smaller buffers (the memory/quality trade-off) are exercised in
-        // unit tests.
-        val (a, s) = timed(SNE.partition(edges, p, chunkEdges = math.max(1, edges.length)))
-        metricsOf(method, edges, a, s)
-      case "Sheep" =>
-        val (a, s) = timed(Sheep.partition(edges, p))
-        metricsOf(method, edges, a, s)
-      case "P.M." =>
-        val (a, s) = timed {
-          val vp = MultilevelVertex.partition(edges, p, seed = seed)
-          VertexCutConversion.fromVertexPartition(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
-      case "X.P." =>
-        val (a, s) = timed {
-          val vp = LabelPropagation.xtrapulp(edges, p, seed = seed)
-          VertexCutConversion.fromVertexPartition(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
-      case "Spinner" =>
-        val (a, s) = timed {
-          val vp = LabelPropagation.spinner(edges, p, seed = seed)
-          VertexCutConversion.fromVertexPartition(vp, edges)
-        }
-        metricsOf(method, edges, a, s)
-      case "D.NE" =>
-        val (res, s) = timed(DistributedNE.partition(spark, rdd,
-          DistributedNE.Config(numPartitions = p, seed = seed)))
-        val (es, as) = collectAssign(res.assignments)
-        res.assignments.unpersist(blocking = false)
-        metricsOf(method, es, as, s)
-      case other => throw new IllegalArgumentException(s"unknown partitioner: $other")
-    }
+          edges: Array[(Long, Long)], p: Int): RunResult =
+    sparkSide.find(_._1 == method).map { case (_, f) =>
+      val ((es, as), s) = timed(collectAssign(f(spark, rdd, p)))
+      metricsOf(method, es, as, s)
+    }.orElse(driverSide.find(_._1 == method).map { case (_, f) =>
+      val (as, s) = timed(f(edges, p))
+      metricsOf(method, edges, as, s)
+    }).getOrElse(throw new IllegalArgumentException(s"unknown partitioner: $method"))
+
+  /** Generates `spec`'s graph once and runs each of `methods` on it into `p`
+    * parts, in order.
+    */
+  def runAll(spark: SparkSession, spec: Datasets.GraphSpec, methods: Seq[String],
+             p: Int): Seq[RunResult] = {
+    val rdd = spec.edges(spark).cache()
+    val edges = rdd.collect()
+    scala.util.Sorting.quickSort(edges)(Ordering.Tuple2[Long, Long])
+    val results = methods.map(run(_, spark, rdd, edges, p))
+    rdd.unpersist(blocking = false)
+    results
+  }
 }

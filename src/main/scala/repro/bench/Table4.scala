@@ -29,12 +29,7 @@ object Table4 {
 
   def compute(spark: SparkSession): Seq[(String, Map[String, Runners.RunResult])] =
     Datasets.table4.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
-      val byMethod = methods.map(m => m -> Runners.run(m, spark, rdd, edges, P)).toMap
-      rdd.unpersist(blocking = false)
-      spec.name -> byMethod
+      spec.name -> Runners.runAll(spark, spec, methods, P).map(r => r.method -> r).toMap
     }
 
   def render(results: Seq[(String, Map[String, Runners.RunResult])]): String = {

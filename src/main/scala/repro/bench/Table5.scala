@@ -25,20 +25,16 @@ object Table5 {
 
   def compute(spark: SparkSession): Seq[(String, Seq[(String, Cell)])] =
     Datasets.skewed.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
-      val source = edges.iterator.flatMap(e => Iterator(e._1, e._2)).min
-      val perMethod = methods.map { m =>
-        val r = Runners.run(m, spark, rdd, edges, P)
+      val results = Runners.runAll(spark, spec, methods, P)
+      val source = results.head.edges.iterator.flatMap(e => Iterator(e._1, e._2)).min
+      val perMethod = results.map { r =>
         val engine = new GasEngine(r.edges, r.assign, P)
         val (_, sp) = engine.sssp(source)
         val (_, wc) = engine.wcc()
         val (_, pr) = engine.pageRank(prIterations)
         def row(s: GasEngine.Stats) = AppRow(s.elapsedSeconds, s.comBytes / 1e6, s.workBalance)
-        m -> Cell(r.rf, r.eb, r.vb, row(sp), row(wc), row(pr))
+        r.method -> Cell(r.rf, r.eb, r.vb, row(sp), row(wc), row(pr))
       }
-      rdd.unpersist(blocking = false)
       spec.paperName -> perMethod
     }
 

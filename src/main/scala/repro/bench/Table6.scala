@@ -26,12 +26,7 @@ object Table6 {
 
   def compute(spark: SparkSession): Seq[Map[String, Double]] =
     Datasets.roads.map { spec =>
-      val rdd = spec.edges(spark).cache()
-      rdd.count()
-      val edges = Datasets.collect(spark, spec)
-      val byMethod = methods.map(m => m -> Runners.run(m, spark, rdd, edges, P).rf).toMap
-      rdd.unpersist(blocking = false)
-      byMethod
+      Runners.runAll(spark, spec, methods, P).map(r => r.method -> r.rf).toMap
     }
 
   def render(measured: Seq[Map[String, Double]]): String = {

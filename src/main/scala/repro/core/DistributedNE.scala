@@ -16,7 +16,7 @@ import scala.collection.mutable
   *  - allocation processes  = the `A = |P|` grid cells of an
   *    `RDD[(cell, SubGraphState)]`, 2D-hash initial distribution;
   *  - expansion processes   = driver-side [[ExpansionState]] heaps (tiny);
-  *  - one iteration         = two Spark jobs:
+  *  - one iteration         = one `collect` job of two stages:
   *      1. one-hop allocation under the broadcast selection (phase 1), then
   *         a `partitionBy` shuffle of new vertex→partition memberships to
   *         each vertex's replica cells (row ∪ column of the grid);
@@ -195,7 +195,7 @@ object DistributedNE {
         }
       }
       exps.foreach { e => if (e.size > cap) e.done = true }
-      drest.toSeq.sortBy(_._1).foreach { case ((v, q), d) =>
+      drest.foreach { case ((v, q), d) =>
         if (!exps(q).done) exps(q).insert(v, d)
       }
       pool = dedupPool(collected.flatMap(_._4))

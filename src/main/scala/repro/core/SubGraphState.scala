@@ -76,12 +76,13 @@ final class SubGraphState(
     * @param delta  per-partition edges allocated locally this iteration
     *               (updated in place; used to keep conflict resolution and
     *               two-hop target choice load-aware within the iteration)
+    * @param quota  per-partition cap on `delta` for this iteration
     * @return new vertex→partition membership messages to synchronise
     */
   def allocateOneHop(selOrder: Array[(Long, Int)],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long] = null): ArrayBuffer[(Long, Int)] = {
+                     quota: Array[Long]): ArrayBuffer[(Long, Int)] = {
     val msgs = new ArrayBuffer[(Long, Int)]()
     // Capacity-aware allocation (Eq. 2's constraint enforced *during* the
     // iteration): the driver hands every cell a per-partition quota of
@@ -93,7 +94,7 @@ final class SubGraphState(
     // An edge whose claimants are all at quota stays unallocated for a
     // later iteration; termination is unaffected because some partition is
     // always below cap while edges remain.
-    def feasible(q: Int): Boolean = quota == null || delta(q) < quota(q)
+    def feasible(q: Int): Boolean = delta(q) < quota(q)
     val local = selOrder.map(x => graph.localId(x._1))
     val selPart = Array.fill(graph.numVertices)(-1) // first selecting partition
     var i = 0
@@ -166,7 +167,7 @@ final class SubGraphState(
   def allocateTwoHop(bpNew: Array[(Int, Int)],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long] = null): Unit = {
+                     quota: Array[Long]): Unit = {
     val ignored = new ArrayBuffer[(Long, Int)]() // two-hop adds no memberships
     var i = 0
     while (i < bpNew.length) {
@@ -207,7 +208,7 @@ final class SubGraphState(
       else {
         val p = a(i)
         val load = sizes(p) + delta(p)
-        val feasible = quota == null || delta(p) < quota(p)
+        val feasible = delta(p) < quota(p)
         if (feasible && load < bestLoad) { best = p; bestLoad = load }
         i += 1; j += 1
       }

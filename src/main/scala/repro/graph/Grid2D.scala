@@ -11,14 +11,14 @@ package repro.graph
   * the vertex id alone*. This is the paper's space trick: no replica
   * directory needs to be stored for the trillion-edge case.
   */
-final case class Grid2D(rows: Int, cols: Int, salt: Long = 0x5EEDL) {
+final case class Grid2D(rows: Int, cols: Int) {
   require(rows >= 1 && cols >= 1, s"bad grid ${rows}x$cols")
 
   /** Number of grid cells (= allocation partitions). */
   val numCells: Int = rows * cols
 
-  def rowOf(x: Long): Int = Hashing.bucket(x, rows, salt)
-  def colOf(x: Long): Int = Hashing.bucket(x, cols, salt + 1)
+  def rowOf(x: Long): Int = Hashing.bucket(x, rows, Grid2D.Salt)
+  def colOf(x: Long): Int = Hashing.bucket(x, cols, Grid2D.Salt + 1)
 
   /** Cell owning edge (u, v). Symmetric in (u, v) order is NOT required —
     * canonical edges always pass (min, max), so placement is deterministic.
@@ -44,6 +44,8 @@ final case class Grid2D(rows: Int, cols: Int, salt: Long = 0x5EEDL) {
 }
 
 object Grid2D {
+  private final val Salt = 0x5EEDL
+
   /** Near-square grid with exactly `p` cells when `p = 2^k` (all partition
     * counts used in the paper's tables are powers of two); otherwise falls
     * back to a 1×p grid (degenerates to 1-D hash placement).

@@ -79,10 +79,10 @@ object LocalMetrics {
   }
 
   def replicationFactor(assign: Array[(Long, Long, Int)]): Double = {
-    val reps = new java.util.HashSet[Long]()
+    val reps = new java.util.HashSet[(Long, Int)]()
     val verts = new java.util.HashSet[Long]()
     assign.foreach { case (u, v, p) =>
-      reps.add(u * 131071L + p); reps.add(v * 131071L + p)
+      reps.add((u, p)); reps.add((v, p))
       verts.add(u); verts.add(v)
     }
     require(verts.size > 0, "empty graph has no replication factor")

@@ -6,16 +6,17 @@ package repro.theory
   */
 object Zeta {
 
-  private val cache = new java.util.concurrent.ConcurrentHashMap[(Double, Int), Double]()
+  private val Terms = 200000 // K
+  private val cache = new java.util.concurrent.ConcurrentHashMap[Double, Double]()
 
   /** ζ(s) for s > 1 (memoized — callers evaluate the same s repeatedly). */
-  def zeta(s: Double, terms: Int = 200000): Double = {
+  def zeta(s: Double): Double = {
     require(s > 1.0, s"zeta(s) diverges for s <= 1, got $s")
-    cache.computeIfAbsent((s, terms), { _ =>
+    cache.computeIfAbsent(s, { _ =>
       var sum = 0.0
       var k = 1
-      while (k <= terms) { sum += math.pow(k, -s); k += 1 }
-      val K = terms.toDouble
+      while (k <= Terms) { sum += math.pow(k, -s); k += 1 }
+      val K = Terms.toDouble
       // Euler–Maclaurin tail: ∫K^∞ x^-s dx + K^-s/2 + s·K^-(s+1)/12
       sum + math.pow(K, 1.0 - s) / (s - 1.0) + math.pow(K, -s) / 2.0 -
         s * math.pow(K, -s - 1.0) / 12.0

@@ -3,7 +3,7 @@ package repro
 import org.apache.spark.HashPartitioner
 
 import repro.apps.GasEngine
-import repro.bench.{Datasets, Runners, TextTable}
+import repro.bench.{Datasets, Runners, Table4, Table5, Table6, TextTable}
 import repro.graph.{GraphGen, LocalMetrics}
 
 import scala.util.hashing.MurmurHash3
@@ -18,10 +18,6 @@ class IntegrationSpec extends SparkSpec {
     GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 77).collect().sorted
   private lazy val rdd = spark.sparkContext.parallelize(edges.toSeq, 8).cache()
 
-  private val allMethods =
-    Seq("Rand.", "2D-R.", "DBH", "Obli.", "H.G.", "HDRF", "NE", "SNE",
-        "Sheep", "P.M.", "X.P.", "Spinner", "D.NE")
-
   // MurmurHash3 of the sorted (u, v, part) triples at p = 8. Pins each
   // partitioner's exact output, so a refactor that changes any assignment
   // fails here.
@@ -32,7 +28,7 @@ class IntegrationSpec extends SparkSpec {
     "P.M." -> 515623961, "X.P." -> -1437808481, "Spinner" -> -1626491157,
     "D.NE" -> -2100361753)
 
-  for (method <- allMethods) {
+  for (method <- Runners.methods) {
     test(s"pipeline[$method]: total, in-range, measurable assignment") {
       val r = Runners.run(method, spark, rdd, edges, p = 8)
       assert(r.assign.length == edges.length, s"$method dropped edges")
@@ -107,6 +103,12 @@ class IntegrationSpec extends SparkSpec {
   test("Runners rejects unknown methods") {
     intercept[IllegalArgumentException](
       Runners.run("nope", spark, rdd, edges, 4))
+  }
+
+  test("every table bench names only methods Runners knows") {
+    for (m <- Table4.methods ++ Table5.methods ++ Table6.methods)
+      assert(Runners.methods.contains(m), s"unknown method $m in a table")
+    assert(Runners.methods.toSet == expectedChecksum.keySet)
   }
 
   test("HashPartitioner routes cell keys identically to their cell id") {

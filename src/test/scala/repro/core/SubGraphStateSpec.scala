@@ -5,6 +5,8 @@ import repro.TestGraphs
 
 class SubGraphStateSpec extends AnyFunSuite {
 
+  private val noQuota = Array.fill(4)(Long.MaxValue) // for up to 4 partitions
+
   test("build produces a consistent CSR") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     assert(st.graph.numEdges == 6)
@@ -28,7 +30,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.star(5))
     val sel = Array((0L, 2)) // select the hub for partition 2
     val delta = new Array[Long](4)
-    val msgs = st.allocateOneHop(sel, new Array[Long](4), delta)
+    val msgs = st.allocateOneHop(sel, new Array[Long](4), delta, noQuota)
     assert(st.alloc.forall(_ == 2))
     assert(delta(2) == 5)
     // membership messages: hub + all 5 leaves got partition 2
@@ -39,7 +41,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("one-hop allocation skips vertices not present locally") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](2)
-    val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta)
+    val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta, noQuota)
     assert(msgs.isEmpty && st.alloc.forall(_ == -1))
   }
 
@@ -48,14 +50,14 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val sizes = Array(10L, 3L) // partition 1 is lighter
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta)
+    st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta, noQuota)
     assert(st.alloc(0) == 1, "lighter partition must win the conflict")
   }
 
   test("conflict ties break to the smaller partition id") {
     val st = SubGraphState.build(0, Array((0L, 1L)))
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta)
+    st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta, noQuota)
     assert(st.alloc(0) == 0)
   }
 
@@ -63,7 +65,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     // vertex 1 is selected by partitions 0 and 1; vertex 0's edge to it is a
     // conflict against partition 0 (load tie, smaller id wins), not 1
     val st = SubGraphState.build(0, Array((0L, 1L)))
-    st.allocateOneHop(Array((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3))
+    st.allocateOneHop(Array((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3), noQuota)
     assert(st.alloc(0) == 0)
   }
 
@@ -81,7 +83,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.path(3))
     val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
     val delta = new Array[Long](1)
-    st.allocateTwoHop(bp, Array(0L), delta)
+    st.allocateTwoHop(bp, Array(0L), delta, noQuota)
     val g = st.graph
     val e12 = (0 until g.numEdges).find(e => g.lsrc(e) == g.localId(1L) && g.ldst(e) == g.localId(2L)).get
     assert(st.alloc(e12) == 0)
@@ -93,14 +95,27 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, Array((1L, 2L)))
     val bp = st.applySync(Iterator((1L, 0), (1L, 1), (2L, 0), (2L, 1)))
     val delta = new Array[Long](2)
-    st.allocateTwoHop(bp, Array(9L, 2L), delta)
+    st.allocateTwoHop(bp, Array(9L, 2L), delta, noQuota)
     assert(st.alloc(0) == 1)
+  }
+
+  test("the quota holds back one-hop and two-hop edges past quota(q)") {
+    val hub = SubGraphState.build(0, TestGraphs.star(5))
+    val d1 = new Array[Long](1)
+    hub.allocateOneHop(Array((0L, 0)), Array(0L), d1, Array(2L))
+    assert(d1(0) == 2 && hub.alloc.count(_ == 0) == 2 && hub.alloc.count(_ < 0) == 3)
+
+    val k4 = SubGraphState.build(0, TestGraphs.k4)
+    val bp = k4.applySync((0L to 3L).iterator.map(x => (x, 0)))
+    val d2 = new Array[Long](1)
+    k4.allocateTwoHop(bp, Array(0L), d2, Array(1L))
+    assert(d2(0) == 1 && k4.alloc.count(_ == 0) == 1 && k4.alloc.count(_ < 0) == 5)
   }
 
   test("localDrest reports remaining degree and drops zeros") {
     val st = SubGraphState.build(0, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), Array(0L), delta) // takes (0,1)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota) // takes (0,1)
     val bp = st.applySync(Iterator((0L, 0), (1L, 0)))
     val reports = st.localDrest(bp)
     // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
@@ -111,7 +126,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val cp = st.copy()
     val delta = new Array[Long](1)
-    cp.allocateOneHop(Array((0L, 0)), Array(0L), delta)
+    cp.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota)
     assert(st.alloc.forall(_ == -1), "original must be untouched")
     assert(st.unallocCount.forall(_ == 3))
     assert(st.memberships.forall(_.isEmpty))
@@ -121,7 +136,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("sampleUnallocated only returns vertices with remaining edges") {
     val st = SubGraphState.build(0, TestGraphs.star(4))
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), Array(0L), delta)
+    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota)
     assert(st.sampleUnallocated(10, 1L).isEmpty)
   }
 
@@ -140,7 +155,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("assignments emit every edge once after full allocation") {
     val st = SubGraphState.build(0, TestGraphs.k4)
     val delta = new Array[Long](1)
-    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta)
+    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta, noQuota)
     val as = st.assignments.toArray
     assert(as.length == 6 && as.forall(_._3 == 0))
   }

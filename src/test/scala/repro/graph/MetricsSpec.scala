@@ -40,6 +40,13 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(Metrics.vertexBalance(df) - LocalMetrics.vertexBalance(ts)) < 1e-9)
   }
 
+  test("LocalMetrics RF counts exact (vertex, part) replicas for large ids") {
+    // a Long key u·131071 + p wraps both replicas below to 0
+    val ts = Array((0L, 5L, 0), (2251816993685505L, 7L, 1))
+    assert(LocalMetrics.replicationFactor(ts) == 1.0)
+    assert(Metrics.replicationFactor(assignDF(ts)) == 1.0)
+  }
+
   test("ORACLE: replica count matches DuckDB over the same assignment") {
     val edges = TestGraphs.skewed(100, 300)
     val ts = triples(edges, TestGraphs.randomAssign(edges, 4))
