@@ -19,7 +19,6 @@ import scala.collection.mutable
 object LabelPropagation {
 
   private val Seed = 42L
-  private val CapacityFactor = 1.05 // label-load cap as a multiple of the mean
 
   def spinner(edges: Array[(Long, Long)], p: Int,
               iterations: Int = 20): VertexPartition = {
@@ -72,52 +71,11 @@ object LabelPropagation {
     VertexPartition(g, labels)
   }
 
-  /** Capacity-aware LP sweep: each vertex adopts the most frequent neighbor
-    * label whose projected degree-load stays below `CapacityFactor` × mean.
+  /** Capacity-aware LP sweeps over unit edge weights, with each vertex's
+    * degree as its load.
     */
   private def refine(g: LocalGraph, labels: Array[Int], p: Int, iterations: Int): Unit = {
-    val n = g.numVertices
-    if (n == 0) return
-    val degLoad = new Array[Long](p)
-    var lv = 0
-    while (lv < n) {
-      degLoad(labels(lv)) += g.degree(lv)
-      lv += 1
-    }
-    val cap = math.max(1L, (CapacityFactor * degLoad.sum / p).toLong)
-    val counts = new Array[Int](p)
-    var it = 0
-    var changedAny = true
-    while (it < iterations && changedAny) {
-      changedAny = false
-      lv = 0
-      while (lv < n) {
-        java.util.Arrays.fill(counts, 0)
-        var k = g.adjOff(lv)
-        while (k < g.adjOff(lv + 1)) {
-          counts(labels(g.other(g.adjEdge(k), lv))) += 1
-          k += 1
-        }
-        val deg = g.degree(lv).toLong
-        val cur = labels(lv)
-        var best = cur
-        var bestCount = counts(cur)
-        var q = 0
-        while (q < p) {
-          if (counts(q) > bestCount && degLoad(q) + deg <= cap) {
-            best = q; bestCount = counts(q)
-          }
-          q += 1
-        }
-        if (best != cur) {
-          degLoad(cur) -= deg
-          degLoad(best) += deg
-          labels(lv) = best
-          changedAny = true
-        }
-        lv += 1
-      }
-      it += 1
-    }
+    val (adj, w) = MultilevelVertex.levelZero(g)
+    MultilevelVertex.refine(adj, w, adj.map(_.length), labels, p, iterations)
   }
 }

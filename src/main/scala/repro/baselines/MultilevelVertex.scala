@@ -30,11 +30,7 @@ object MultilevelVertex {
     val n = g.numVertices
     if (n == 0) return VertexPartition(g, Array.empty)
 
-    // --- level 0 from the CSR ---
-    var adj = Array.tabulate(n) { lv =>
-      (g.adjOff(lv) until g.adjOff(lv + 1)).map(k => g.other(g.adjEdge(k), lv)).toArray
-    }
-    var w = adj.map(_.map(_ => 1))
+    var (adj, w) = levelZero(g)
     var vw = Array.fill(n)(1)
 
     // --- coarsening ---
@@ -101,14 +97,14 @@ object MultilevelVertex {
 
     // --- uncoarsen + refine ---
     var li = levels.length - 1
-    refineBoundary(adj, w, vw, labels, p, passes = 4)
+    refine(adj, w, vw, labels, p, passes = 4)
     while (li >= 0) {
       val level = levels(li)
       val fine = new Array[Int](level.adj.length)
       var i = 0
       while (i < fine.length) { fine(i) = labels(level.fineToCoarse(i)); i += 1 }
       labels = fine
-      refineBoundary(level.adj, level.w, level.vw, labels, p, passes = 2)
+      refine(level.adj, level.w, level.vw, labels, p, passes = 2)
       li -= 1
     }
     VertexPartition(g, labels)
@@ -158,12 +154,24 @@ object MultilevelVertex {
     labels
   }
 
-  /** FM-flavoured boundary sweeps: move a vertex to the neighbor-heaviest
-    * partition when the edge-cut gain is positive and balance is kept.
+  /** Level 0 of the hierarchy: each vertex's neighbours in `g`, with unit
+    * edge weights.
     */
-  private def refineBoundary(adj: Array[Array[Int]], w: Array[Array[Int]],
-                             vw: Array[Int], labels: Array[Int], p: Int,
-                             passes: Int): Unit = {
+  private[baselines] def levelZero(g: LocalGraph): (Array[Array[Int]], Array[Array[Int]]) = {
+    val adj = Array.tabulate(g.numVertices) { lv =>
+      (g.adjOff(lv) until g.adjOff(lv + 1)).map(k => g.other(g.adjEdge(k), lv)).toArray
+    }
+    (adj, adj.map(_.map(_ => 1)))
+  }
+
+  /** FM-flavoured boundary sweeps, also the label-propagation step of
+    * [[LabelPropagation]]: move a vertex to the label with strictly larger
+    * neighbour weight whose load stays within `Balance` × the mean, until
+    * a pass moves nothing or `passes` passes have run.
+    */
+  private[baselines] def refine(adj: Array[Array[Int]], w: Array[Array[Int]],
+                                vw: Array[Int], labels: Array[Int], p: Int,
+                                passes: Int): Unit = {
     val n = adj.length
     if (n == 0) return
     val loads = new Array[Long](p)

@@ -14,20 +14,28 @@ import scala.collection.mutable
   *
   * Roles (see DESIGN.md §2):
   *  - allocation processes  = the `A = |P|` grid cells of an
-  *    `RDD[(cell, SubGraphState)]`, 2D-hash initial distribution;
+  *    `RDD[(cell, Cell)]`, 2D-hash initial distribution;
   *  - expansion processes   = driver-side [[ExpansionState]] heaps (tiny);
-  *  - one iteration         = one `collect` job of two stages:
+  *  - one iteration         = one `collect` job of two stages over the
+  *    cached cells of the previous iteration:
   *      1. one-hop allocation under the broadcast selection (phase 1), then
   *         a `partitionBy` shuffle of new vertex→partition memberships to
   *         each vertex's replica cells (row ∪ column of the grid);
-  *      2. membership sync + two-hop allocation + local-D_rest reports
-  *         (phases 2–4), whose small reports are collected and reduced on
-  *         the driver (the global D_rest gather).
+  *      2. phase 1 again, membership sync + two-hop allocation + local-D_rest
+  *         reports (phases 2–4); the new cells are cached and their small
+  *         reports are collected and reduced on the driver (the global
+  *         D_rest gather).
   *
-  * Every per-iteration transformation copies state before writing, so the
-  * dataflow stays a pure function of its inputs: a lineage replay after
-  * cache loss reproduces the same partitioning. Lineage is truncated with
-  * `localCheckpoint` every few iterations.
+  * Phase 1 is deterministic and only walks the edges of the selected
+  * vertices, so running it in both stages is cheaper than caching its
+  * output. Each iteration caches exactly one RDD, the new cells, and
+  * `localCheckpoint`s it, so its lineage ends at its own disk-backed blocks;
+  * the previous cells are released after the `collect`. Cached blocks that
+  * memory pressure evicts spill to disk instead of being recomputed.
+  *
+  * Copy-on-write still matters: both stages and every task retry start
+  * from the same cached parent state, so each transformation copies it
+  * before writing, and the dataflow stays a pure function of its inputs.
   */
 object DistributedNE {
 
@@ -42,6 +50,10 @@ object DistributedNE {
     require(lambda > 0.0 && lambda <= 1.0, s"lambda must be in (0,1], got $lambda")
   }
 
+  /** The partitioning. `assignments` is cached `MEMORY_AND_DISK`; its
+    * lineage ends at released checkpoints, so it cannot be recomputed:
+    * collect it before calling `unpersist`, not after.
+    */
   final case class Result(
       assignments: RDD[(Long, Long, Int)],
       numEdges: Long,
@@ -49,19 +61,33 @@ object DistributedNE {
       partitionSizes: Array[Long])
 
   private val SamplesPerCell = 8 // random-restart candidates reported per cell
-  private val CheckpointEvery = 20
   private val MaxIterations = 100000
 
-  private final case class Phase1Out(
-      state: SubGraphState,
-      msgs: Array[(Long, Int)],
-      delta: Array[Long]) // per-partition edges allocated in phase 1
-
-  private final case class Phase2Out(
+  /** One allocation process: its state and the small reports, of the
+    * iteration that produced it, that the driver collects.
+    */
+  private final case class Cell(
       state: SubGraphState,
       delta: Array[Long],                 // phase-1 + two-hop allocations
       reports: Array[(Long, Int, Int)],   // (vertex, part, local D_rest)
       samples: Array[Long])
+
+  /** The driver's broadcast for one iteration. */
+  private final case class Step(
+      selOrder: Array[(Long, Int)], // selected (vertex, partition), sorted
+      sizes: Array[Long],           // |E_p| at the start of the iteration
+      quota: Array[Long]) {         // per-cell per-partition allocation cap
+
+    /** Phase 1 on a copy of `parent`: the new state, its membership
+      * messages and its per-partition allocation counts.
+      */
+    def oneHop(parent: SubGraphState): (SubGraphState, mutable.ArrayBuffer[(Long, Int)], Array[Long]) = {
+      val st = parent.copy()
+      val delta = new Array[Long](sizes.length)
+      val msgs = st.allocateOneHop(selOrder, sizes, delta, quota)
+      (st, msgs, delta)
+    }
+  }
 
   /** Partitions `edges` (canonical undirected) into `cfg.numPartitions`
     * edge sets. Returns the assignment as an RDD of (u, v, part) triples.
@@ -73,25 +99,22 @@ object DistributedNE {
     val cellPart = new HashPartitioner(grid.numCells) // cell ids route to themselves
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
-    var stateCached: RDD[_] = null
-    var state: RDD[(Int, SubGraphState)] = edges
+    var cells: RDD[(Int, Cell)] = edges
       .map { case (u, v) => (grid.cellOf(u, v), (u, v)) }
       .groupByKey(cellPart)
       .mapPartitionsWithIndex({ (cell, it) =>
-        val local = it.flatMap(_._2).toArray
-        Iterator((cell, SubGraphState.build(cell, local)))
+        val st = SubGraphState.build(cell, it.flatMap(_._2).toArray)
+        Iterator((cell, Cell(st, Array.emptyLongArray, Array.empty,
+          st.sampleUnallocated(SamplesPerCell, cfg.seed))))
       }, preservesPartitioning = true)
-      .persist(StorageLevel.MEMORY_ONLY)
-    stateCached = state
+      .localCheckpoint()
 
-    val init = state
-      .map { case (cell, st) =>
-        (cell, st.graph.numEdges.toLong, st.sampleUnallocated(SamplesPerCell, cfg.seed))
-      }
+    val init = cells
+      .map { case (_, c) => (c.state.graph.numEdges.toLong, c.samples) }
       .collect()
-    val numEdges = init.map(_._2).sum
+    val numEdges = init.map(_._1).sum
     require(numEdges > 0, "cannot partition an empty graph")
-    var pool: Array[Long] = dedupPool(init.flatMap(_._3))
+    var pool: Array[Long] = dedupPool(init.flatMap(_._2))
 
     // ---- driver-side expansion processes ----
     val exps = Array.tabulate(p)(new ExpansionState(_))
@@ -130,62 +153,49 @@ object DistributedNE {
       require(sel.nonEmpty,
         s"no expandable vertex at iteration $iter with ${numEdges - totalAllocated} edges left")
 
-      val selOrder = sel.sortBy(x => (x._1, x._2)).toArray
-      val sizes = exps.map(_.size)
       // per-cell per-partition allocation quota for this iteration: all A
       // cells together may exceed the cap by at most ~A edges (EB ≈ α)
       val quota = Array.tabulate(p) { q =>
         if (exps(q).done) 0L
         else math.max(1L, math.ceil((cap - exps(q).size) / grid.numCells).toLong)
       }
-      val selBc = sc.broadcast(selOrder)
-      val sizesBc = sc.broadcast(sizes)
-      val quotaBc = sc.broadcast(quota)
-      val gridBc = grid
-      val numP = p
+      val step = sc.broadcast(Step(sel.sortBy(x => (x._1, x._2)).toArray, exps.map(_.size), quota))
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
-      // -- phase 1: one-hop allocation --
-      val phase1 = state.mapPartitions({ it =>
-        val (cell, st0) = it.next()
-        val st = st0.copy()
-        val delta = new Array[Long](numP)
-        val msgs = st.allocateOneHop(selBc.value, sizesBc.value, delta, quotaBc.value)
-        Iterator((cell, Phase1Out(st, msgs.toArray, delta)))
-      }, preservesPartitioning = true).persist(StorageLevel.MEMORY_ONLY)
-
-      // -- membership sync shuffle: each (vertex, part) to the vertex's
-      //    replica cells (computable from the id — no replica directory) --
-      val msgs: RDD[(Int, (Long, Int))] = phase1
-        .flatMap { case (_, out) =>
-          out.msgs.iterator.flatMap { m =>
-            gridBc.replicaCells(m._1).iterator.map(c => (c, m))
+      // -- phase 1 + membership sync shuffle: each (vertex, part) to the
+      //    vertex's replica cells (computable from the id — no replica
+      //    directory) --
+      val msgs: RDD[(Int, (Long, Int))] = cells
+        .flatMap { case (_, c) =>
+          step.value.oneHop(c.state)._2.iterator.flatMap { m =>
+            grid.replicaCells(m._1).iterator.map(r => (r, m))
           }
         }
         .partitionBy(cellPart)
 
-      // -- phases 2–4: sync, two-hop allocation, local D_rest, samples --
-      val phase2 = phase1.zipPartitions(msgs, preservesPartitioning = true) { (p1It, msgIt) =>
-        val (cell, out1) = p1It.next()
-        val st = out1.state.copy()
-        val delta = out1.delta.clone()
+      // -- phase 1 again, then phases 2–4: sync, two-hop allocation,
+      //    local D_rest, samples --
+      val next = cells.zipPartitions(msgs, preservesPartitioning = true) { (cellIt, msgIt) =>
+        val (cell, c) = cellIt.next()
+        val s = step.value
+        val (st, _, delta) = s.oneHop(c.state)
         val bp = st.applySync(msgIt.map(_._2))
-        st.allocateTwoHop(bp, sizesBc.value, delta, quotaBc.value)
-        val reports = st.localDrest(bp)
-        val samples = st.sampleUnallocated(SamplesPerCell, iterSeed)
-        Iterator((cell, Phase2Out(st, delta, reports, samples)))
-      }.persist(StorageLevel.MEMORY_ONLY)
-      if ((iter + 1) % CheckpointEvery == 0) phase2.localCheckpoint()
+        st.allocateTwoHop(bp, s.sizes, delta, s.quota)
+        Iterator((cell, Cell(st, delta, st.localDrest(bp), st.sampleUnallocated(SamplesPerCell, iterSeed))))
+      }.localCheckpoint()
 
-      val collected = phase2
-        .map { case (cell, o) => (cell, o.delta, o.reports, o.samples) }
+      val collected = next
+        .map { case (_, c) => (c.delta, c.reports, c.samples) }
         .collect()
+      cells.unpersist(blocking = false)
+      cells = next
+      step.unpersist(blocking = false)
 
       // -- driver update: sizes, termination, global D_rest, random pool --
       val drest = new mutable.HashMap[(Long, Int), Int]()
-      collected.foreach { case (_, delta, reports, _) =>
+      collected.foreach { case (delta, reports, _) =>
         var q = 0
-        while (q < numP) {
+        while (q < p) {
           exps(q).size += delta(q)
           totalAllocated += delta(q)
           q += 1
@@ -198,16 +208,7 @@ object DistributedNE {
       drest.foreach { case ((v, q), d) =>
         if (!exps(q).done) exps(q).insert(v, d)
       }
-      pool = dedupPool(collected.flatMap(_._4))
-
-      // -- rotate cached state --
-      state = phase2.mapValues(_.state)
-      phase1.unpersist(blocking = false)
-      stateCached.unpersist(blocking = false)
-      stateCached = phase2
-      selBc.unpersist(blocking = false)
-      sizesBc.unpersist(blocking = false)
-      quotaBc.unpersist(blocking = false)
+      pool = dedupPool(collected.flatMap(_._3))
       iter += 1
     }
 
@@ -215,10 +216,10 @@ object DistributedNE {
       s"Distributed NE did not converge in $MaxIterations iterations " +
       s"($totalAllocated / $numEdges edges allocated)")
 
-    val assignments = state.flatMap(_._2.assignments)
-    assignments.persist(StorageLevel.MEMORY_ONLY)
+    val assignments = cells.flatMap(_._2.state.assignments)
+    assignments.persist(StorageLevel.MEMORY_AND_DISK)
     assignments.count()
-    stateCached.unpersist(blocking = false)
+    cells.unpersist(blocking = false)
     Result(assignments, numEdges, iter, exps.map(_.size))
   }
 

@@ -9,8 +9,8 @@ import scala.collection.mutable.ArrayBuffer
   * the mutable allocation state.
   *
   * `graph` is immutable and shared between copies. The rest is mutable per
-  * copy (the per-iteration dataflow copies before writing, so a lineage
-  * recomputation replays deterministically — see DistributedNE):
+  * copy (both stages of a DistributedNE iteration, and any task retry,
+  * start from the same cached state, so each copies it before writing):
   *  - `alloc`        — per-edge partition id, -1 = unallocated
   *  - `memberships`  — per local vertex, the sorted set of partitions it has
   *                      been allocated to (the replicated vertex allocation

@@ -28,6 +28,9 @@ class IntegrationSpec extends SparkSpec {
     "P.M." -> 515623961, "X.P." -> -1437808481, "Spinner" -> -1626491157,
     "D.NE" -> -2100361753)
 
+  private def checksumOf(r: Runners.RunResult): Int =
+    MurmurHash3.seqHash(r.edges.indices.map(i => (r.edges(i)._1, r.edges(i)._2, r.assign(i))).sorted)
+
   for (method <- Runners.methods) {
     test(s"pipeline[$method]: total, in-range, measurable assignment") {
       val r = Runners.run(method, spark, rdd, edges, p = 8)
@@ -36,9 +39,16 @@ class IntegrationSpec extends SparkSpec {
       assert(r.rf >= 1.0 && r.rf <= 8.0)
       assert(r.eb >= 1.0 && r.vb >= 1.0)
       assert(r.seconds >= 0.0)
-      val triples = r.edges.indices.map(i => (r.edges(i)._1, r.edges(i)._2, r.assign(i))).sorted
-      val checksum = MurmurHash3.seqHash(triples)
+      val checksum = checksumOf(r)
       assert(checksum == expectedChecksum(method), s"$method output changed: checksum $checksum")
+    }
+  }
+
+  test("D.NE output does not depend on how the input is sliced") {
+    for (slices <- Seq(1, 3, 8, 17)) {
+      val in = spark.sparkContext.parallelize(edges.toSeq, slices)
+      val checksum = checksumOf(Runners.run("D.NE", spark, in, edges, p = 8))
+      assert(checksum == expectedChecksum("D.NE"), s"$slices slices: checksum $checksum")
     }
   }
 

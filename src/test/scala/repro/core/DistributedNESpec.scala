@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.SparkEnv
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd}
+import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
 import repro.theory.Bounds
@@ -128,6 +131,36 @@ class DistributedNESpec extends SparkSpec {
     assert(fast.iterations < slow.iterations,
       s"lambda=1.0 (${fast.iterations} iters) must beat lambda=0.02 (${slow.iterations})")
     assert(fast.iterations <= 60, s"lambda=1.0 should converge quickly, took ${fast.iterations}")
+  }
+
+  test("evicting memory-only cached blocks mid-run leaves the output unchanged") {
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val (expected, undisturbed) = runOn(edges, 4, lambda = 0.05)
+    assert(undisturbed.iterations > 45, "the evictions must land mid-run")
+    val sc = spark.sparkContext
+    // drops the blocks memory pressure would drop: those of cached RDDs
+    // whose storage level has no disk tier
+    val evictor = new SparkListener {
+      private var jobs = 0
+      override def onJobEnd(end: SparkListenerJobEnd): Unit = {
+        jobs += 1
+        if (jobs == 30 || jobs == 45) {
+          val memoryOnly = sc.getPersistentRDDs.collect {
+            case (id, rdd) if !rdd.getStorageLevel.useDisk => id
+          }.toSet
+          val bm = SparkEnv.get.blockManager
+          bm.getMatchingBlockIds {
+            case RDDBlockId(id, _) => memoryOnly(id)
+            case _ => false
+          }.foreach(bm.removeBlock(_))
+        }
+      }
+    }
+    sc.addSparkListener(evictor)
+    try {
+      val (evicted, _) = runOn(edges, 4, lambda = 0.05)
+      assert(evicted.toSeq == expected.toSeq)
+    } finally sc.removeSparkListener(evictor)
   }
 
   test("partition sizes in the result sum to the edge count") {

@@ -123,14 +123,26 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("copy isolates the mutable state") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
-    val cp = st.copy()
-    val delta = new Array[Long](1)
-    cp.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota)
-    assert(st.alloc.forall(_ == -1), "original must be untouched")
-    assert(st.unallocCount.forall(_ == 3))
-    assert(st.memberships.forall(_.isEmpty))
-    assert(cp.alloc.count(_ == 0) == 3)
+    // a state that already holds allocations and memberships, so copies
+    // share its copy-on-write membership rows
+    val st = SubGraphState.build(0, TestGraphs.path(6)) // 0-1-…-6
+    st.allocateOneHop(Array((0L, 0)), Array(0L, 0L), new Array[Long](2), noQuota)
+    st.applySync(Iterator((3L, 1), (4L, 1)))
+    def snapshot(s: SubGraphState) =
+      (s.alloc.toSeq, s.unallocCount.toSeq, s.memberships.map(_.toSeq).toSeq)
+    val before = snapshot(st)
+    // phase 1 runs once per stage, each time on its own copy of the parent
+    def oneHop() = {
+      val cp = st.copy()
+      val delta = new Array[Long](2)
+      val msgs = cp.allocateOneHop(Array((2L, 0), (3L, 1)), Array(0L, 0L), delta, noQuota)
+      (msgs.toSeq, delta.toSeq, snapshot(cp))
+    }
+    val a = oneHop()
+    val b = oneHop()
+    assert(a == b, "phase 1 on two copies must agree")
+    assert(a._1.nonEmpty && a._2.sum == 3)
+    assert(snapshot(st) == before, "original must be untouched")
   }
 
   test("sampleUnallocated only returns vertices with remaining edges") {
