@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -14,7 +14,11 @@ import scala.collection.mutable
   *
   * Roles (see DESIGN.md §2):
   *  - allocation processes  = the `A = |P|` grid cells of an
-  *    `RDD[(cell, Cell)]`, 2D-hash initial distribution;
+  *    `RDD[(cell, Cell)]`, 2D-hash initial distribution. The cells are
+  *    packed, in cell order, into `S = min(A, defaultParallelism)` Spark
+  *    partitions ("slots", see [[CellSlots]]), so an iteration runs 2·S
+  *    tasks and its sync shuffle writes S×S blocks; the output depends on
+  *    the cells alone, never on `S`;
   *  - expansion processes   = driver-side [[ExpansionState]] heaps (tiny);
   *  - one iteration         = one `collect` job of two stages over the
   *    cached cells of the previous iteration:
@@ -60,6 +64,23 @@ object DistributedNE {
       iterations: Int,
       partitionSizes: Array[Long])
 
+  /** Routes cell ids to `numPartitions` slots: slot `s` holds the
+    * contiguous cell range `[⌈s·A/S⌉, ⌈(s+1)·A/S⌉)`, so cell `c` goes to
+    * slot `⌊c·S/A⌋`. Every slot is non-empty since `S ≤ A`.
+    */
+  private[repro] final case class CellSlots(numCells: Int, numPartitions: Int) extends Partitioner {
+    require(numPartitions >= 1 && numPartitions <= numCells,
+      s"need 1 to $numCells slots, got $numPartitions")
+
+    def getPartition(key: Any): Int =
+      (key.asInstanceOf[Int].toLong * numPartitions / numCells).toInt
+
+    def cellsOf(slot: Int): Range = firstCell(slot) until firstCell(slot + 1)
+
+    private def firstCell(slot: Int): Int =
+      ((slot.toLong * numCells + numPartitions - 1) / numPartitions).toInt
+  }
+
   private val SamplesPerCell = 8 // random-restart candidates reported per cell
   private val MaxIterations = 100000
 
@@ -92,20 +113,29 @@ object DistributedNE {
   /** Partitions `edges` (canonical undirected) into `cfg.numPartitions`
     * edge sets. Returns the assignment as an RDD of (u, v, part) triples.
     */
-  def partition(spark: SparkSession, edges: RDD[(Long, Long)], cfg: Config): Result = {
+  def partition(spark: SparkSession, edges: RDD[(Long, Long)], cfg: Config): Result =
+    partitionOn(spark, edges, cfg, spark.sparkContext.defaultParallelism)
+
+  /** [[partition]] with the cells packed into `min(A, slots)` Spark
+    * partitions; the result does not depend on `slots`.
+    */
+  private[core] def partitionOn(spark: SparkSession, edges: RDD[(Long, Long)], cfg: Config,
+                                slots: Int): Result = {
     val sc = spark.sparkContext
     val p = cfg.numPartitions
     val grid = Grid2D.forPartitions(p)
-    val cellPart = new HashPartitioner(grid.numCells) // cell ids route to themselves
+    val cellPart = CellSlots(grid.numCells, math.min(grid.numCells, slots))
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
     var cells: RDD[(Int, Cell)] = edges
       .map { case (u, v) => (grid.cellOf(u, v), (u, v)) }
-      .groupByKey(cellPart)
-      .mapPartitionsWithIndex({ (cell, it) =>
-        val st = SubGraphState.build(cell, it.flatMap(_._2).toArray)
-        Iterator((cell, Cell(st, Array.emptyLongArray, Array.empty,
-          st.sampleUnallocated(SamplesPerCell, cfg.seed))))
+      .partitionBy(cellPart)
+      .mapPartitionsWithIndex({ (slot, it) =>
+        val byCell = it.toArray.groupBy(_._1) // arrival order within a cell
+        cellPart.cellsOf(slot).iterator.map { cell =>
+          val st = SubGraphState.build(cell, byCell.getOrElse(cell, Array.empty).map(_._2))
+          (cell, Cell(st, Array.emptyLongArray, Array.empty, st.sampleUnallocated(SamplesPerCell, cfg.seed)))
+        }
       }, preservesPartitioning = true)
       .localCheckpoint()
 
@@ -176,12 +206,14 @@ object DistributedNE {
       // -- phase 1 again, then phases 2–4: sync, two-hop allocation,
       //    local D_rest, samples --
       val next = cells.zipPartitions(msgs, preservesPartitioning = true) { (cellIt, msgIt) =>
-        val (cell, c) = cellIt.next()
         val s = step.value
-        val (st, _, delta) = s.oneHop(c.state)
-        val bp = st.applySync(msgIt.map(_._2))
-        st.allocateTwoHop(bp, s.sizes, delta, s.quota)
-        Iterator((cell, Cell(st, delta, st.localDrest(bp), st.sampleUnallocated(SamplesPerCell, iterSeed))))
+        val msgsOf = msgIt.toArray.groupBy(_._1) // arrival order within a cell
+        cellIt.map { case (cell, c) =>
+          val (st, _, delta) = s.oneHop(c.state)
+          val bp = st.applySync(msgsOf.getOrElse(cell, Array.empty).iterator.map(_._2))
+          st.allocateTwoHop(bp, s.sizes, delta, s.quota)
+          (cell, Cell(st, delta, st.localDrest(bp), st.sampleUnallocated(SamplesPerCell, iterSeed)))
+        }
       }.localCheckpoint()
 
       val collected = next

@@ -4,6 +4,7 @@ import org.apache.spark.HashPartitioner
 
 import repro.apps.GasEngine
 import repro.bench.{Datasets, Runners, Table4, Table5, Table6, TextTable}
+import repro.core.DistributedNE.CellSlots
 import repro.graph.{GraphGen, LocalMetrics}
 
 import scala.util.hashing.MurmurHash3
@@ -121,13 +122,21 @@ class IntegrationSpec extends SparkSpec {
     assert(Runners.methods.toSet == expectedChecksum.keySet)
   }
 
-  test("HashPartitioner routes cell keys identically to their cell id") {
+  test("CellSlots routes cell ids to contiguous, non-empty slot ranges") {
     // DistributedNE keys its per-cell RDDs by cell id in [0, numCells)
-    val cp = new HashPartitioner(16)
-    assert(cp.numPartitions == 16)
-    (0 until 16).foreach(i => assert(cp.getPartition(i) == i))
-    assert(cp == new HashPartitioner(16))
-    assert(cp != new HashPartitioner(8))
+    for (cells <- Seq(1, 7, 16, 64); slots <- 1 to cells) {
+      val cs = CellSlots(cells, slots)
+      val slotOf = (0 until cells).map(cs.getPartition)
+      assert(slotOf == slotOf.sorted, s"$cells cells, $slots slots: ranges out of order")
+      assert(slotOf.toSet == (0 until slots).toSet, s"$cells cells, $slots slots: an empty slot")
+      for (s <- 0 until slots)
+        assert(cs.cellsOf(s) == (0 until cells).filter(slotOf(_) == s), s"$cells cells, slot $s")
+    }
+    (0 until 16).foreach(i => assert(CellSlots(16, 16).getPartition(i) == i))
+    assert(CellSlots(16, 4) == CellSlots(16, 4))
+    assert(CellSlots(16, 4) != CellSlots(16, 8))
+    assert(CellSlots(16, 4) != new HashPartitioner(4))
+    intercept[IllegalArgumentException](CellSlots(4, 5))
   }
 
   test("TextTable renders aligned rows and formats doubles") {

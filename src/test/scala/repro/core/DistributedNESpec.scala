@@ -2,11 +2,14 @@ package repro.core
 
 import org.apache.spark.SparkEnv
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerStageSubmitted}
 import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
 import repro.theory.Bounds
+
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 
 class DistributedNESpec extends SparkSpec {
 
@@ -161,6 +164,47 @@ class DistributedNESpec extends SparkSpec {
       val (evicted, _) = runOn(edges, 4, lambda = 0.05)
       assert(evicted.toSeq == expected.toSeq)
     } finally sc.removeSparkListener(evictor)
+  }
+
+  test("output does not depend on how many Spark partitions hold the cells") {
+    val rmat = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 77).collect().sorted
+    // path(3) has fewer edges than the 8 cells, so some slots hold empty cells
+    for ((name, edges) <- Seq("rmat" -> rmat, "path(3)" -> TestGraphs.path(3))) {
+      def triplesOn(slots: Int): Seq[(Long, Long, Int)] = {
+        val res = DistributedNE.partitionOn(spark, rddOf(edges), DistributedNE.Config(8), slots)
+        val triples = res.assignments.collect().sortBy(t => (t._1, t._2))
+        res.assignments.unpersist(blocking = false)
+        triples.toSeq
+      }
+      val expected = triplesOn(8)
+      checkComplete(edges, expected.toArray, 8)
+      // 3 slots split 8 cells unevenly; 16 is clamped to one slot per cell
+      for (slots <- Seq(1, 3, 16))
+        assert(triplesOn(slots) == expected, s"$name: $slots slots changed the output")
+    }
+  }
+
+  test("no stage after the initial build runs more tasks than min(A, defaultParallelism)") {
+    val sc = spark.sparkContext
+    val input = rddOf(GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect())
+    val p = 16 // a power of two, so A = p cells
+    val bound = math.min(p, sc.defaultParallelism)
+    val tasks = new ConcurrentLinkedQueue[Int]()
+    // the stage that reads the input runs one task per input slice
+    val counter = new SparkListener {
+      override def onStageSubmitted(s: SparkListenerStageSubmitted): Unit =
+        if (!s.stageInfo.rddInfos.exists(_.id == input.id)) tasks.add(s.stageInfo.numTasks)
+    }
+    sc.addSparkListener(counter)
+    try {
+      val res = DistributedNE.partition(spark, input, DistributedNE.Config(p))
+      res.assignments.unpersist(blocking = false)
+      // the listener bus is asynchronous: wait for both stages of every iteration
+      val deadline = System.nanoTime() + 10000000000L
+      while (tasks.size < 2 * res.iterations && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(tasks.size >= 2 * res.iterations, s"saw ${tasks.size} stages in ${res.iterations} iterations")
+      assert(tasks.asScala.max <= bound, s"a stage ran ${tasks.asScala.max} tasks, bound $bound")
+    } finally sc.removeSparkListener(counter)
   }
 
   test("partition sizes in the result sum to the edge count") {
