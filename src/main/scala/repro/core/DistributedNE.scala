@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.Partitioner
+import org.apache.spark.{Partitioner, TaskContext}
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -20,26 +21,34 @@ import scala.collection.mutable
   *    tasks and its sync shuffle writes S×S blocks; the output depends on
   *    the cells alone, never on `S`;
   *  - expansion processes   = driver-side [[ExpansionState]] heaps (tiny);
-  *  - one iteration         = one `collect` job of two stages over the
-  *    cached cells of the previous iteration:
+  *  - one iteration         = one job of two stages over the cached cells
+  *    of the previous iteration:
   *      1. one-hop allocation under the broadcast selection (phase 1), then
   *         a `partitionBy` shuffle of new vertex→partition memberships to
   *         each vertex's replica cells (row ∪ column of the grid);
   *      2. phase 1 again, membership sync + two-hop allocation + local-D_rest
   *         reports (phases 2–4); the new cells are cached and their small
-  *         reports are collected and reduced on the driver (the global
+  *         reports are gathered and reduced on the driver (the global
   *         D_rest gather).
   *
   * Phase 1 is deterministic and only walks the edges of the selected
   * vertices, so running it in both stages is cheaper than caching its
   * output. Each iteration caches exactly one RDD, the new cells, and
   * `localCheckpoint`s it, so its lineage ends at its own disk-backed blocks;
-  * the previous cells are released after the `collect`. Cached blocks that
+  * the previous cells are released after the gather. Cached blocks that
   * memory pressure evicts spill to disk instead of being recomputed.
   *
   * Copy-on-write still matters: both stages and every task retry start
   * from the same cached parent state, so each transformation copies it
   * before writing, and the dataflow stays a pure function of its inputs.
+  *
+  * An iteration is kept cheap to submit and to cache. Every function handed
+  * to Spark is a named class, not a lambda, and the gathers go through
+  * `sc.runJob`, so Spark's closure cleaner parses no bytecode (see the note
+  * above [[KeyByCell]]). A cached cell holds only primitive arrays (flat
+  * reports, a bitset of memberships, a primitive id index in the
+  * `LocalGraph`), so the size estimate Spark makes on each cache write
+  * visits a fixed number of objects.
   */
 object DistributedNE {
 
@@ -84,14 +93,19 @@ object DistributedNE {
   private val SamplesPerCell = 8 // random-restart candidates reported per cell
   private val MaxIterations = 100000
 
-  /** One allocation process: its state and the small reports, of the
-    * iteration that produced it, that the driver collects.
+  /** What a cell tells the driver about the iteration that produced it. */
+  private final class Report(
+      val delta: Array[Long],        // phase-1 + two-hop allocations per partition
+      val drestVertex: Array[Long],  // local D_rest reports, as parallel arrays
+      val drestPart: Array[Int],     //   of (vertex, partition, local D_rest)
+      val drest: Array[Int],
+      val samples: Array[Long]) extends Serializable
+
+  /** One allocation process: its state and its report. Every field below
+    * them is a primitive array, so the size walk Spark makes each time it
+    * caches a cell visits a fixed number of objects, whatever the cell holds.
     */
-  private final case class Cell(
-      state: SubGraphState,
-      delta: Array[Long],                 // phase-1 + two-hop allocations
-      reports: Array[(Long, Int, Int)],   // (vertex, part, local D_rest)
-      samples: Array[Long])
+  private final case class Cell(state: SubGraphState, report: Report)
 
   /** The driver's broadcast for one iteration. */
   private final case class Step(
@@ -108,6 +122,93 @@ object DistributedNE {
       val msgs = st.allocateOneHop(selOrder, sizes, delta, quota)
       (st, msgs, delta)
     }
+  }
+
+  // ---- the functions handed to Spark ----
+  //
+  // Each is a named class or object, never a lambda. Spark's ClosureCleaner
+  // reads and parses the bytecode of the class that declares every lambda it
+  // is handed; a class that is not a lambda passes through unread. The
+  // gathers call `sc.runJob` with a `(TaskContext, Iterator) => U` of their
+  // own. Do not bring back `collect()` or `count()`: they hand the cleaner a
+  // lambda declared in `RDD`, and their runJob overload wraps it in another
+  // declared in `SparkContext`, so each call parses both of Spark's largest
+  // classes. Profiled on 4 cores, that parsing took more driver time per
+  // iteration than all of the driver's own work.
+
+  /** 2D-hash initial distribution: each edge keyed by its grid cell. */
+  private final class KeyByCell(grid: Grid2D)
+      extends (((Long, Long)) => (Int, (Long, Long))) with Serializable {
+    def apply(e: (Long, Long)): (Int, (Long, Long)) = (grid.cellOf(e._1, e._2), e)
+  }
+
+  /** The initial cells of one slot: a CSR and an empty state per cell. */
+  private final class BuildCells(slots: CellSlots, numPartitions: Int, seed: Long)
+      extends ((Int, Iterator[(Int, (Long, Long))]) => Iterator[(Int, Cell)]) with Serializable {
+    def apply(slot: Int, it: Iterator[(Int, (Long, Long))]): Iterator[(Int, Cell)] = {
+      val byCell = it.toArray.groupBy(_._1) // arrival order within a cell
+      slots.cellsOf(slot).iterator.map { cell =>
+        val st = SubGraphState.build(cell, numPartitions, byCell.getOrElse(cell, Array.empty).map(_._2))
+        val samples = st.sampleUnallocated(SamplesPerCell, seed)
+        (cell, Cell(st, new Report(Array.emptyLongArray, Array.emptyLongArray, Array.emptyIntArray,
+          Array.emptyIntArray, samples)))
+      }
+    }
+  }
+
+  /** Phase 1, then the sync fan-out: each new (vertex, part) membership to
+    * the vertex's replica cells (computable from the id — no replica
+    * directory).
+    */
+  private final class SyncMessages(step: Broadcast[Step], grid: Grid2D)
+      extends (((Int, Cell)) => Iterator[(Int, (Long, Int))]) with Serializable {
+    def apply(kc: (Int, Cell)): Iterator[(Int, (Long, Int))] =
+      step.value.oneHop(kc._2.state)._2.iterator.flatMap { m =>
+        grid.replicaCells(m._1).iterator.map(r => (r, m))
+      }
+  }
+
+  /** Phase 1 again, then phases 2–4: sync, two-hop allocation, local
+    * D_rest, samples.
+    */
+  private final class NextCells(step: Broadcast[Step], iterSeed: Long)
+      extends ((Iterator[(Int, Cell)], Iterator[(Int, (Long, Int))]) => Iterator[(Int, Cell)])
+      with Serializable {
+    def apply(cellIt: Iterator[(Int, Cell)], msgIt: Iterator[(Int, (Long, Int))]): Iterator[(Int, Cell)] = {
+      val s = step.value
+      val msgsOf = msgIt.toArray.groupBy(_._1) // arrival order within a cell
+      cellIt.map { case (cell, c) =>
+        val (st, _, delta) = s.oneHop(c.state)
+        val bp = st.applySync(msgsOf.getOrElse(cell, Array.empty).iterator.map(_._2))
+        st.allocateTwoHop(bp, s.sizes, delta, s.quota)
+        val (dv, dp, d) = st.localDrest(bp)
+        (cell, Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed))))
+      }
+    }
+  }
+
+  /** The reports of one slot's cells, in cell order. */
+  private object GatherReports
+      extends ((TaskContext, Iterator[(Int, Cell)]) => Array[Report]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[(Int, Cell)]): Array[Report] = it.map(_._2.report).toArray
+  }
+
+  /** The edge count and samples of each initial cell of one slot. */
+  private object GatherInitial
+      extends ((TaskContext, Iterator[(Int, Cell)]) => Array[(Long, Array[Long])]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[(Int, Cell)]): Array[(Long, Array[Long])] =
+      it.map { case (_, c) => (c.state.graph.numEdges.toLong, c.report.samples) }.toArray
+  }
+
+  /** The final assignment triples of a cell. */
+  private object Assignments
+      extends (((Int, Cell)) => Iterator[(Long, Long, Int)]) with Serializable {
+    def apply(kc: (Int, Cell)): Iterator[(Long, Long, Int)] = kc._2.state.assignments
+  }
+
+  /** Runs a partition to the end, which materialises a cached RDD. */
+  private object Drain extends ((TaskContext, Iterator[Any]) => Unit) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[Any]): Unit = while (it.hasNext) it.next()
   }
 
   /** Partitions `edges` (canonical undirected) into `cfg.numPartitions`
@@ -128,20 +229,12 @@ object DistributedNE {
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
     var cells: RDD[(Int, Cell)] = edges
-      .map { case (u, v) => (grid.cellOf(u, v), (u, v)) }
+      .map(new KeyByCell(grid))
       .partitionBy(cellPart)
-      .mapPartitionsWithIndex({ (slot, it) =>
-        val byCell = it.toArray.groupBy(_._1) // arrival order within a cell
-        cellPart.cellsOf(slot).iterator.map { cell =>
-          val st = SubGraphState.build(cell, byCell.getOrElse(cell, Array.empty).map(_._2))
-          (cell, Cell(st, Array.emptyLongArray, Array.empty, st.sampleUnallocated(SamplesPerCell, cfg.seed)))
-        }
-      }, preservesPartitioning = true)
+      .mapPartitionsWithIndex(new BuildCells(cellPart, p, cfg.seed), preservesPartitioning = true)
       .localCheckpoint()
 
-    val init = cells
-      .map { case (_, c) => (c.state.graph.numEdges.toLong, c.samples) }
-      .collect()
+    val init = sc.runJob(cells, GatherInitial).flatten
     val numEdges = init.map(_._1).sum
     require(numEdges > 0, "cannot partition an empty graph")
     var pool: Array[Long] = dedupPool(init.flatMap(_._2))
@@ -192,55 +285,38 @@ object DistributedNE {
       val step = sc.broadcast(Step(sel.sortBy(x => (x._1, x._2)).toArray, exps.map(_.size), quota))
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
-      // -- phase 1 + membership sync shuffle: each (vertex, part) to the
-      //    vertex's replica cells (computable from the id — no replica
-      //    directory) --
-      val msgs: RDD[(Int, (Long, Int))] = cells
-        .flatMap { case (_, c) =>
-          step.value.oneHop(c.state)._2.iterator.flatMap { m =>
-            grid.replicaCells(m._1).iterator.map(r => (r, m))
-          }
-        }
-        .partitionBy(cellPart)
+      // -- phase 1 + membership sync shuffle to the replica cells --
+      val msgs = cells.flatMap(new SyncMessages(step, grid)).partitionBy(cellPart)
 
-      // -- phase 1 again, then phases 2–4: sync, two-hop allocation,
-      //    local D_rest, samples --
-      val next = cells.zipPartitions(msgs, preservesPartitioning = true) { (cellIt, msgIt) =>
-        val s = step.value
-        val msgsOf = msgIt.toArray.groupBy(_._1) // arrival order within a cell
-        cellIt.map { case (cell, c) =>
-          val (st, _, delta) = s.oneHop(c.state)
-          val bp = st.applySync(msgsOf.getOrElse(cell, Array.empty).iterator.map(_._2))
-          st.allocateTwoHop(bp, s.sizes, delta, s.quota)
-          (cell, Cell(st, delta, st.localDrest(bp), st.sampleUnallocated(SamplesPerCell, iterSeed)))
-        }
-      }.localCheckpoint()
-
-      val collected = next
-        .map { case (_, c) => (c.delta, c.reports, c.samples) }
-        .collect()
+      // -- phase 1 again, then phases 2–4; the reports gathered by cell --
+      val next = cells
+        .zipPartitions(msgs, preservesPartitioning = true)(new NextCells(step, iterSeed))
+        .localCheckpoint()
+      val reports = sc.runJob(next, GatherReports).flatten
       cells.unpersist(blocking = false)
       cells = next
       step.unpersist(blocking = false)
 
       // -- driver update: sizes, termination, global D_rest, random pool --
       val drest = new mutable.HashMap[(Long, Int), Int]()
-      collected.foreach { case (delta, reports, _) =>
+      reports.foreach { r =>
         var q = 0
         while (q < p) {
-          exps(q).size += delta(q)
-          totalAllocated += delta(q)
+          exps(q).size += r.delta(q)
+          totalAllocated += r.delta(q)
           q += 1
         }
-        reports.foreach { case (v, q2, d) =>
-          drest.updateWith((v, q2))(prev => Some(prev.getOrElse(0) + d))
+        var i = 0
+        while (i < r.drest.length) {
+          drest.updateWith((r.drestVertex(i), r.drestPart(i)))(prev => Some(prev.getOrElse(0) + r.drest(i)))
+          i += 1
         }
       }
       exps.foreach { e => if (e.size > cap) e.done = true }
       drest.foreach { case ((v, q), d) =>
         if (!exps(q).done) exps(q).insert(v, d)
       }
-      pool = dedupPool(collected.flatMap(_._3))
+      pool = dedupPool(reports.flatMap(_.samples))
       iter += 1
     }
 
@@ -248,9 +324,9 @@ object DistributedNE {
       s"Distributed NE did not converge in $MaxIterations iterations " +
       s"($totalAllocated / $numEdges edges allocated)")
 
-    val assignments = cells.flatMap(_._2.state.assignments)
+    val assignments = cells.flatMap(Assignments)
     assignments.persist(StorageLevel.MEMORY_AND_DISK)
-    assignments.count()
+    sc.runJob(assignments, Drain)
     cells.unpersist(blocking = false)
     Result(assignments, numEdges, iter, exps.map(_.size))
   }

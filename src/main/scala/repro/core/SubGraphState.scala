@@ -12,43 +12,44 @@ import scala.collection.mutable.ArrayBuffer
   * copy (both stages of a DistributedNE iteration, and any task retry,
   * start from the same cached state, so each copies it before writing):
   *  - `alloc`        — per-edge partition id, -1 = unallocated
-  *  - `memberships`  — per local vertex, the sorted set of partitions it has
-  *                      been allocated to (the replicated vertex allocation
-  *                      ids the paper synchronises)
+  *  - `memberships`  — per local vertex, the set of partitions it has been
+  *                      allocated to (the replicated vertex allocation ids
+  *                      the paper synchronises), as a bitset of
+  *                      ⌈numPartitions/64⌉ words: bit `p` of vertex `lv` is
+  *                      bit `p % 64` of word `lv·words + p / 64`
   *  - `unallocCount` — per local vertex, its local D_rest (number of local
   *                      unallocated incident edges)
+  *
+  * Every field is a primitive array or the all-primitive `graph`, so
+  * Spark's size estimator walks a cached state in a fixed number of steps.
   */
-final class SubGraphState(
+final class SubGraphState private (
     val cellId: Int,
     val graph: LocalGraph,
     val alloc: Array[Int],
-    val memberships: Array[Array[Int]],
-    val unallocCount: Array[Int]
+    val memberships: Array[Long],
+    val unallocCount: Array[Int],
+    words: Int
 ) extends Serializable {
   import graph.{adjEdge, adjOff, vertexIds}
 
-  /** Copy-on-write clone: clones the mutable arrays, shares the topology.
-    * Membership rows are themselves copy-on-write (see `addMembership`), so
-    * a shallow clone of the outer array suffices.
-    */
+  /** Copy-on-write clone: clones the mutable arrays, shares the topology. */
   def copy(): SubGraphState =
-    new SubGraphState(cellId, graph, alloc.clone(), memberships.clone(), unallocCount.clone())
+    new SubGraphState(cellId, graph, alloc.clone(), memberships.clone(), unallocCount.clone(), words)
+
+  /** Whether the local replica of vertex `lv` belongs to partition `p`. */
+  def isMember(lv: Int, p: Int): Boolean =
+    (memberships(lv * words + (p >>> 6)) & (1L << (p & 63))) != 0
 
   /** Adds partition `p` to the local replica of vertex `lv`.
     * @return true iff the membership was new locally.
     */
   private def addMembership(lv: Int, p: Int): Boolean = {
-    val cur = memberships(lv)
-    if (java.util.Arrays.binarySearch(cur, p) >= 0) false
-    else {
-      val next = new Array[Int](cur.length + 1)
-      var i = 0
-      while (i < cur.length && cur(i) < p) { next(i) = cur(i); i += 1 }
-      next(i) = p
-      System.arraycopy(cur, i, next, i + 1, cur.length - i)
-      memberships(lv) = next
-      true
-    }
+    val w = lv * words + (p >>> 6)
+    val bit = 1L << (p & 63)
+    val isNew = (memberships(w) & bit) == 0
+    memberships(w) |= bit
+    isNew
   }
 
   private def allocateEdge(e: Int, p: Int, msgs: ArrayBuffer[(Long, Int)]): Unit = {
@@ -178,7 +179,7 @@ final class SubGraphState(
         val e = adjEdge(k)
         if (alloc(e) < 0) {
           val lw = graph.other(e, lu)
-          val pNew = leastLoadedShared(memberships(lu), memberships(lw), sizes, delta, quota)
+          val pNew = leastLoadedShared(lu, lw, sizes, delta, quota)
           if (pNew >= 0) {
             val before = ignored.length
             allocateEdge(e, pNew, ignored)
@@ -194,42 +195,37 @@ final class SubGraphState(
     }
   }
 
-  /** argmin load over the intersection of two sorted membership rows;
-    * -1 if the intersection is empty. Ties break to the smaller id.
+  /** argmin load over the partitions that local vertices `lu` and `lw`
+    * share; -1 if they share none. Partitions are visited in ascending
+    * order, so ties break to the smaller id.
     */
-  private def leastLoadedShared(a: Array[Int], b: Array[Int],
+  private def leastLoadedShared(lu: Int, lw: Int,
                                 sizes: Array[Long], delta: Array[Long],
                                 quota: Array[Long]): Int = {
-    var i = 0; var j = 0
     var best = -1; var bestLoad = Long.MaxValue
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else {
-        val p = a(i)
+    var w = 0
+    while (w < words) {
+      var shared = memberships(lu * words + w) & memberships(lw * words + w)
+      while (shared != 0) {
+        val p = (w << 6) + java.lang.Long.numberOfTrailingZeros(shared)
         val load = sizes(p) + delta(p)
         val feasible = delta(p) < quota(p)
         if (feasible && load < bestLoad) { best = p; bestLoad = load }
-        i += 1; j += 1
+        shared &= shared - 1
       }
+      w += 1
     }
     best
   }
 
   /** Phase 4 — ComputeLocalDrest: the local D_rest for each synced boundary
-    * pair. Zero scores are dropped — a vertex with no unallocated edges is
-    * not in the boundary B(X) by definition.
+    * pair, as parallel arrays (vertex, partition, local D_rest). Zero scores
+    * are dropped — a vertex with no unallocated edges is not in the boundary
+    * B(X) by definition.
     */
-  def localDrest(bpNew: Array[(Int, Int)]): Array[(Long, Int, Int)] = {
-    val out = new ArrayBuffer[(Long, Int, Int)](bpNew.length)
-    var i = 0
-    while (i < bpNew.length) {
-      val (lx, p) = bpNew(i)
-      val d = unallocCount(lx)
-      if (d > 0) out += ((vertexIds(lx), p, d))
-      i += 1
-    }
-    out.toArray
+  def localDrest(bpNew: Array[(Int, Int)]): (Array[Long], Array[Int], Array[Int]) = {
+    val kept = bpNew.filter(b => unallocCount(b._1) > 0)
+    (kept.map(b => vertexIds(b._1)), kept.map(_._2), kept.map(b => unallocCount(b._1)))
   }
 
   /** Up to `k` local vertices that still have unallocated edges, scanned
@@ -260,10 +256,14 @@ final class SubGraphState(
 
 object SubGraphState {
 
-  /** The initial (nothing allocated) state of one grid cell. */
-  def build(cellId: Int, edges: Array[(Long, Long)]): SubGraphState = {
+  /** The initial (nothing allocated) state of one grid cell, with room for
+    * memberships of partitions `0 until numPartitions`.
+    */
+  def build(cellId: Int, numPartitions: Int, edges: Array[(Long, Long)]): SubGraphState = {
     val g = LocalGraph.build(edges)
+    val words = (numPartitions + 63) >>> 6
     new SubGraphState(cellId, g, Array.fill(g.numEdges)(-1),
-      Array.fill(g.numVertices)(Array.emptyIntArray), Array.tabulate(g.numVertices)(g.degree))
+      new Array[Long](Math.multiplyExact(g.numVertices, words)),
+      Array.tabulate(g.numVertices)(g.degree), words)
   }
 }

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable.ArrayBuffer
-
 /** An edge list in CSR over *local* vertex ids — the per-process graph
   * slice of the paper (§4), and the structure NE walks.
   *
@@ -11,6 +9,11 @@ import scala.collection.mutable.ArrayBuffer
   * and sits under both endpoints in the adjacency `adjEdge(adjOff(lv) until
   * adjOff(lv + 1))`, in edge order. Immutable, so every copy of a mutable
   * state built on it can share one instance.
+  *
+  * Every field is a primitive array, the global → local index included: an
+  * open-addressing table of local ids (-1 = empty slot) probed linearly from
+  * the hashed global id, at most half full. Spark's size estimator walks a
+  * cached `LocalGraph` in a fixed number of steps, whatever its size.
   */
 final class LocalGraph private (
     val vertexIds: Array[Long],
@@ -18,7 +21,7 @@ final class LocalGraph private (
     val ldst: Array[Int],
     val adjOff: Array[Int],
     val adjEdge: Array[Int],
-    index: java.util.HashMap[java.lang.Long, java.lang.Integer]
+    slots: Array[Int]
 ) extends Serializable {
 
   def numEdges: Int = lsrc.length
@@ -29,27 +32,29 @@ final class LocalGraph private (
   def other(e: Int, lv: Int): Int = if (lsrc(e) == lv) ldst(e) else lsrc(e)
 
   /** The local id of global vertex `x`, or -1 if no edge here touches it. */
-  def localId(x: Long): Int = {
-    val lx = index.get(x)
-    if (lx == null) -1 else lx.intValue()
-  }
+  def localId(x: Long): Int = slots(LocalGraph.probe(slots, vertexIds, x))
 }
 
 object LocalGraph {
 
   def build(edges: Array[(Long, Long)]): LocalGraph = {
     val m = edges.length
-    val index = new java.util.HashMap[java.lang.Long, java.lang.Integer]()
-    val ids = new ArrayBuffer[Long]()
+    val ids = new Array[Long](2 * m)
+    var n = 0
+    var slots = Array(-1, -1)
     def intern(x: Long): Int = {
-      val known = index.putIfAbsent(x, ids.length)
-      if (known != null) known.intValue() else { ids += x; ids.length - 1 }
+      val s = probe(slots, ids, x)
+      if (slots(s) >= 0) slots(s)
+      else {
+        ids(n) = x; slots(s) = n; n += 1
+        if (2 * n > slots.length) slots = rehash(ids, n, 2 * slots.length)
+        n - 1
+      }
     }
     val lsrc = new Array[Int](m)
     val ldst = new Array[Int](m)
     var i = 0
     while (i < m) { lsrc(i) = intern(edges(i)._1); ldst(i) = intern(edges(i)._2); i += 1 }
-    val n = ids.length
     val adjOff = new Array[Int](n + 1)
     i = 0
     while (i < m) { adjOff(lsrc(i) + 1) += 1; adjOff(ldst(i) + 1) += 1; i += 1 }
@@ -63,6 +68,24 @@ object LocalGraph {
       adjEdge(cursor(ldst(i))) = i; cursor(ldst(i)) += 1
       i += 1
     }
-    new LocalGraph(ids.toArray, lsrc, ldst, adjOff, adjEdge, index)
+    new LocalGraph(java.util.Arrays.copyOf(ids, n), lsrc, ldst, adjOff, adjEdge, slots)
+  }
+
+  /** The slot of `slots` (length a power of two, never full) that holds the
+    * local id of `x`, or else the empty slot where it would go.
+    */
+  private def probe(slots: Array[Int], ids: Array[Long], x: Long): Int = {
+    val mask = slots.length - 1
+    var s = Hashing.mix64(x).toInt & mask
+    while (slots(s) >= 0 && ids(slots(s)) != x) s = (s + 1) & mask
+    s
+  }
+
+  /** A table of `size` slots holding local ids `0 until n`. */
+  private def rehash(ids: Array[Long], n: Int, size: Int): Array[Int] = {
+    val slots = Array.fill(size)(-1)
+    var lv = 0
+    while (lv < n) { slots(probe(slots, ids, ids(lv))) = lv; lv += 1 }
+    slots
   }
 }

@@ -62,4 +62,19 @@ class DistributedNEPropertySpec extends SparkSpec {
     assert(t.length == edges.length)
     t.foreach(x => assert(x._3 >= 0 && x._3 < 6))
   }
+
+  test("P = 100 (1×100 grid, memberships over two bitset words): exactly once, Theorem 1, EB") {
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val p = 100
+    val (t, res) = run(edges, p, seed = 8)
+    assert(t.length == edges.length && t.map(x => (x._1, x._2)).toSet == edges.toSet,
+      "every edge must be allocated exactly once")
+    t.foreach(x => assert(x._3 >= 0 && x._3 < p, s"partition out of range: $x"))
+    val rf = LocalMetrics.replicationFactor(t)
+    val ub = Bounds.theorem1(edges.length, LocalMetrics.numVertices(edges), p)
+    assert(rf <= ub + 1e-9, s"RF $rf above bound $ub")
+    // each of the A = p cells may overshoot a partition's cap by one edge
+    val eb = res.partitionSizes.max / (edges.length.toDouble / p)
+    assert(eb <= 1.1 + p.toDouble * p / edges.length, s"EB $eb")
+  }
 }

@@ -8,6 +8,11 @@ import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
 import repro.theory.Bounds
 
+import org.apache.logging.log4j.{Level, LogManager}
+import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
+import org.apache.logging.log4j.core.appender.AbstractAppender
+import org.apache.logging.log4j.core.config.{LoggerConfig, Property}
+
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
@@ -205,6 +210,44 @@ class DistributedNESpec extends SparkSpec {
       assert(tasks.size >= 2 * res.iterations, s"saw ${tasks.size} stages in ${res.iterations} iterations")
       assert(tasks.asScala.max <= bound, s"a stage ran ${tasks.asScala.max} tasks, bound $bound")
     } finally sc.removeSparkListener(counter)
+  }
+
+  test("a partition call hands Spark's closure cleaner no lambda") {
+    // At debug level the cleaner logs each function it is handed: "Expected
+    // a closure; got <class>" for one it passes through unread, other lines
+    // for a lambda, whose declaring class it parses (for collect() or
+    // count(): RDD and SparkContext, on every call).
+    val cleaner = "org.apache.spark.util.ClosureCleaner"
+    val passed = "Expected a closure; got "
+    val lines = new ConcurrentLinkedQueue[String]()
+    val watch = new AbstractAppender("cleaner-watch", null, null, true, Property.EMPTY_ARRAY) {
+      override def append(e: LogEvent): Unit = lines.add(e.getMessage.getFormattedMessage)
+    }
+    watch.start()
+    val ctx = LogManager.getContext(false).asInstanceOf[LoggerContext]
+    val config = ctx.getConfiguration
+    val logger = new LoggerConfig(cleaner, Level.DEBUG, false)
+    logger.addAppender(watch, Level.DEBUG, null)
+    val input = rddOf(TestGraphs.skewed(200, 1000))
+    val res =
+      try {
+        config.addLogger(cleaner, logger)
+        ctx.updateLoggers()
+        DistributedNE.partition(spark, input, DistributedNE.Config(4))
+      } finally {
+        config.removeLogger(cleaner)
+        ctx.updateLoggers()
+        watch.stop()
+      }
+    res.assignments.unpersist(blocking = false)
+    val (named, other) = lines.asScala.toSeq.partition(_.startsWith(passed))
+    val lambdaLines = other.distinct
+    assert(lambdaLines.isEmpty, "the cleaner worked on lambdas")
+    // a flatMap, a zipPartitions and a runJob per iteration
+    assert(named.length >= 3 * res.iterations, s"saw ${named.length} functions in ${res.iterations} iterations")
+    named.map(_.stripPrefix(passed)).distinct.foreach { name =>
+      assert(!name.contains("$anonfun$") && !Class.forName(name).isSynthetic, s"$name is a lambda")
+    }
   }
 
   test("partition sizes in the result sum to the edge count") {

@@ -8,7 +8,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   private val noQuota = Array.fill(4)(Long.MaxValue) // for up to 4 partitions
 
   test("build produces a consistent CSR") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
+    val st = SubGraphState.build(0, 4, TestGraphs.k4)
     assert(st.graph.numEdges == 6)
     assert(st.graph.numVertices == 4)
     assert(st.graph.adjEdge.length == 12) // every edge under both endpoints
@@ -20,14 +20,14 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("build of an empty cell is valid") {
-    val st = SubGraphState.build(3, Array.empty)
+    val st = SubGraphState.build(3, 4, Array.empty)
     assert(st.graph.numEdges == 0 && st.graph.numVertices == 0)
     assert(st.sampleUnallocated(5, 1L).isEmpty)
     assert(st.assignments.isEmpty)
   }
 
   test("one-hop allocation takes every unallocated incident edge") {
-    val st = SubGraphState.build(0, TestGraphs.star(5))
+    val st = SubGraphState.build(0, 4, TestGraphs.star(5))
     val sel = Array((0L, 2)) // select the hub for partition 2
     val delta = new Array[Long](4)
     val msgs = st.allocateOneHop(sel, new Array[Long](4), delta, noQuota)
@@ -39,7 +39,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("one-hop allocation skips vertices not present locally") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
+    val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val delta = new Array[Long](2)
     val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta, noQuota)
     assert(msgs.isEmpty && st.alloc.forall(_ == -1))
@@ -47,7 +47,7 @@ class SubGraphStateSpec extends AnyFunSuite {
 
   test("conflicting one-hop claims resolve to the less-loaded partition") {
     // edge (0,1); both endpoints selected by different partitions
-    val st = SubGraphState.build(0, Array((0L, 1L)))
+    val st = SubGraphState.build(0, 4, Array((0L, 1L)))
     val sizes = Array(10L, 3L) // partition 1 is lighter
     val delta = new Array[Long](2)
     st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta, noQuota)
@@ -55,7 +55,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("conflict ties break to the smaller partition id") {
-    val st = SubGraphState.build(0, Array((0L, 1L)))
+    val st = SubGraphState.build(0, 4, Array((0L, 1L)))
     val delta = new Array[Long](2)
     st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta, noQuota)
     assert(st.alloc(0) == 0)
@@ -64,23 +64,23 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("a vertex selected twice claims for its first partition in sorted order") {
     // vertex 1 is selected by partitions 0 and 1; vertex 0's edge to it is a
     // conflict against partition 0 (load tie, smaller id wins), not 1
-    val st = SubGraphState.build(0, Array((0L, 1L)))
+    val st = SubGraphState.build(0, 4, Array((0L, 1L)))
     st.allocateOneHop(Array((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3), noQuota)
     assert(st.alloc(0) == 0)
   }
 
   test("applySync adds memberships only for local vertices and dedupes") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
+    val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val bp = st.applySync(Iterator((0L, 1), (0L, 1), (2L, 3), (42L, 0)))
     assert(bp.length == 2) // (0,1) deduped; 42 not local
-    assert(st.memberships(st.graph.localId(0L)).contains(1))
-    assert(st.memberships(st.graph.localId(2L)).contains(3))
+    assert(st.isMember(st.graph.localId(0L), 1))
+    assert(st.isMember(st.graph.localId(2L), 3))
   }
 
   test("two-hop allocation takes exactly the edges whose endpoints share a partition") {
     // path 0-1-2-3; give 1 and 2 membership of partition 0; edge (1,2)
     // qualifies, edges (0,1) and (2,3) do not.
-    val st = SubGraphState.build(0, TestGraphs.path(3))
+    val st = SubGraphState.build(0, 4, TestGraphs.path(3))
     val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
     val delta = new Array[Long](1)
     st.allocateTwoHop(bp, Array(0L), delta, noQuota)
@@ -92,20 +92,50 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("two-hop allocation picks the least-loaded shared partition") {
-    val st = SubGraphState.build(0, Array((1L, 2L)))
+    val st = SubGraphState.build(0, 4, Array((1L, 2L)))
     val bp = st.applySync(Iterator((1L, 0), (1L, 1), (2L, 0), (2L, 1)))
     val delta = new Array[Long](2)
     st.allocateTwoHop(bp, Array(9L, 2L), delta, noQuota)
     assert(st.alloc(0) == 1)
   }
 
+  test("memberships and two-hop choices cross bitset words at P = 130") {
+    val p = 130
+    val free = Array.fill(p)(Long.MaxValue)
+    // vertex 1 holds 0, 63, 64 and 129; vertex 2 holds 63, 64 and 129
+    def synced(): SubGraphState = {
+      val st = SubGraphState.build(0, p, Array((1L, 2L)))
+      st.applySync(Iterator((1L, 0), (1L, 63), (1L, 64), (1L, 129), (2L, 63), (2L, 64), (2L, 129)))
+      st
+    }
+    val st = synced()
+    def held(x: Long) = (0 until p).filter(st.isMember(st.graph.localId(x), _))
+    assert(held(1L) == Seq(0, 63, 64, 129))
+    assert(held(2L) == Seq(63, 64, 129))
+
+    def twoHopTarget(sizes: Array[Long]): Int = {
+      val s = synced()
+      s.allocateTwoHop(Array((s.graph.localId(1L), 0)), sizes, new Array[Long](p), free)
+      s.alloc(0)
+    }
+    def loads(light: (Int, Long)*): Array[Long] = {
+      val sizes = Array.fill(p)(100L)
+      light.foreach { case (q, l) => sizes(q) = l }
+      sizes
+    }
+    assert(twoHopTarget(loads(0 -> 0L, 129 -> 7L)) == 129, "partition 0 is not shared")
+    assert(twoHopTarget(loads(64 -> 7L, 129 -> 8L)) == 64)
+    assert(twoHopTarget(loads(63 -> 7L, 64 -> 7L, 129 -> 7L)) == 63, "ties go to the smaller id")
+    assert(twoHopTarget(loads(64 -> 7L, 129 -> 7L)) == 64, "ties go to the smaller id")
+  }
+
   test("the quota holds back one-hop and two-hop edges past quota(q)") {
-    val hub = SubGraphState.build(0, TestGraphs.star(5))
+    val hub = SubGraphState.build(0, 4, TestGraphs.star(5))
     val d1 = new Array[Long](1)
     hub.allocateOneHop(Array((0L, 0)), Array(0L), d1, Array(2L))
     assert(d1(0) == 2 && hub.alloc.count(_ == 0) == 2 && hub.alloc.count(_ < 0) == 3)
 
-    val k4 = SubGraphState.build(0, TestGraphs.k4)
+    val k4 = SubGraphState.build(0, 4, TestGraphs.k4)
     val bp = k4.applySync((0L to 3L).iterator.map(x => (x, 0)))
     val d2 = new Array[Long](1)
     k4.allocateTwoHop(bp, Array(0L), d2, Array(1L))
@@ -113,23 +143,22 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("localDrest reports remaining degree and drops zeros") {
-    val st = SubGraphState.build(0, TestGraphs.path(3)) // 0-1-2-3
+    val st = SubGraphState.build(0, 4, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
     st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota) // takes (0,1)
     val bp = st.applySync(Iterator((0L, 0), (1L, 0)))
-    val reports = st.localDrest(bp)
+    val (vs, ps, ds) = st.localDrest(bp)
     // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
-    assert(reports.toSeq == Seq((1L, 0, 1)))
+    assert(vs.toSeq == Seq(1L) && ps.toSeq == Seq(0) && ds.toSeq == Seq(1))
   }
 
   test("copy isolates the mutable state") {
-    // a state that already holds allocations and memberships, so copies
-    // share its copy-on-write membership rows
-    val st = SubGraphState.build(0, TestGraphs.path(6)) // 0-1-…-6
+    // a state that already holds allocations and memberships
+    val st = SubGraphState.build(0, 4, TestGraphs.path(6)) // 0-1-…-6
     st.allocateOneHop(Array((0L, 0)), Array(0L, 0L), new Array[Long](2), noQuota)
     st.applySync(Iterator((3L, 1), (4L, 1)))
     def snapshot(s: SubGraphState) =
-      (s.alloc.toSeq, s.unallocCount.toSeq, s.memberships.map(_.toSeq).toSeq)
+      (s.alloc.toSeq, s.unallocCount.toSeq, s.memberships.toSeq)
     val before = snapshot(st)
     // phase 1 runs once per stage, each time on its own copy of the parent
     def oneHop() = {
@@ -146,26 +175,26 @@ class SubGraphStateSpec extends AnyFunSuite {
   }
 
   test("sampleUnallocated only returns vertices with remaining edges") {
-    val st = SubGraphState.build(0, TestGraphs.star(4))
+    val st = SubGraphState.build(0, 4, TestGraphs.star(4))
     val delta = new Array[Long](1)
     st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota)
     assert(st.sampleUnallocated(10, 1L).isEmpty)
   }
 
   test("sampleUnallocated respects k and varies with seed offset") {
-    val st = SubGraphState.build(0, TestGraphs.path(20))
+    val st = SubGraphState.build(0, 4, TestGraphs.path(20))
     val s1 = st.sampleUnallocated(5, 1L)
     assert(s1.length == 5)
     s1.foreach(v => assert(st.graph.localId(v) >= 0))
   }
 
   test("assignments require full allocation") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
+    val st = SubGraphState.build(0, 4, TestGraphs.k4)
     intercept[IllegalArgumentException](st.assignments.toArray)
   }
 
   test("assignments emit every edge once after full allocation") {
-    val st = SubGraphState.build(0, TestGraphs.k4)
+    val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val delta = new Array[Long](1)
     st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta, noQuota)
     val as = st.assignments.toArray

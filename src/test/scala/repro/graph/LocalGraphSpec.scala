@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.scalacheck.{Arbitrary, Gen, Test}
+import org.scalacheck.Prop.forAll
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
@@ -16,6 +18,36 @@ class LocalGraphSpec extends AnyFunSuite {
     val g = LocalGraph.build(TestGraphs.k4)
     assert(g.localId(42L) == -1)
     assert(LocalGraph.build(Array.empty).localId(0L) == -1)
+  }
+
+  test("the index holds ids at the Long limits and ids equal in their low bits") {
+    val extremes = Seq(Long.MinValue, Long.MaxValue, -1L, 0L)
+    // 5000 ids whose low 32 bits are all equal: enough to fill long probe runs
+    val highOnly = (1L to 5000L).map(_ << 32)
+    val ids = extremes ++ highOnly
+    val g = LocalGraph.build(ids.zip(ids.tail).toArray)
+    assert(g.vertexIds.toSeq == ids)
+    ids.indices.foreach(lv => assert(g.localId(ids(lv)) == lv, s"id ${ids(lv)}"))
+    Seq(Long.MinValue + 1, Long.MaxValue - 1, -2L, 1L, 5001L << 32, (1L << 32) + 1)
+      .foreach(x => assert(g.localId(x) == -1, s"absent id $x"))
+  }
+
+  test("localId inverts vertexIds over random id sets") {
+    val id: Gen[Long] = Gen.frequency(
+      6 -> Arbitrary.arbitrary[Long],
+      1 -> Gen.oneOf(Long.MinValue, Long.MaxValue, -1L, 0L),
+      1 -> Gen.choose(-64L, 64L).map(_ << 40))
+    val prop = forAll(Gen.listOf(id), id) { (xs, probe) =>
+      val ids = xs.distinct
+      // a path through the ids; one id alone gets a self-loop
+      val edges = (if (ids.length == 1) Seq((ids.head, ids.head)) else ids.zip(ids.drop(1))).toArray
+      val g = LocalGraph.build(edges)
+      g.vertexIds.toSeq == ids &&
+        ids.indices.forall(lv => g.localId(g.vertexIds(lv)) == lv) &&
+        g.localId(probe) == ids.indexOf(probe)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(result.passed, result)
   }
 
   test("adjacency lists every incident edge in edge order, and other walks it") {
