@@ -1,43 +1,32 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
 import repro.bench._
 
-/** spark-submit entrypoints, one per evaluation table.
-  * Each prints the measured-vs-paper table and writes the same text under
-  * bench/results/ for EXPERIMENTS.md.
+import scala.collection.immutable.ListMap
+
+/** spark-submit entrypoint for the evaluation tables.
+  * Usage: TableJob <1|4|5|6>
+  * Prints the measured-vs-paper table and writes the same text to
+  * bench/results/tableN.txt for EXPERIMENTS.md.
   */
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table1-bounds")
-    val out = Table1.run(spark)
-    println(out); TextTable.write("table1.txt", out)
-    spark.stop()
-  }
-}
+object TableJob {
+  /** Table number → (Spark app name, the table's runner). */
+  private val tables = ListMap[String, (String, SparkSession => String)](
+    "1" -> ("table1-bounds", Table1.run _),
+    "4" -> ("table4-sequential-comparison", Table4.run _),
+    "5" -> ("table5-graph-apps", Table5.run _),
+    "6" -> ("table6-road-networks", Table6.run _),
+  )
 
-object Table4Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table4-sequential-comparison")
-    val out = Table4.run(spark)
-    println(out); TextTable.write("table4.txt", out)
-    spark.stop()
-  }
-}
-
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table5-graph-apps")
-    val out = Table5.run(spark)
-    println(out); TextTable.write("table5.txt", out)
-    spark.stop()
-  }
-}
-
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table6-road-networks")
-    val out = Table6.run(spark)
-    println(out); TextTable.write("table6.txt", out)
+    require(args.length == 1, s"usage: TableJob <${tables.keys.mkString("|")}>")
+    val n = args(0)
+    val (appName, run) = tables.getOrElse(n, throw new IllegalArgumentException(
+      s"unknown table '$n'; known: " + tables.keys.mkString(", ")))
+    val spark = JobSession.create(appName)
+    val out = run(spark)
+    println(out); TextTable.write(s"table$n.txt", out)
     spark.stop()
   }
 }

@@ -1,10 +1,9 @@
 package repro.core
 
-import org.apache.spark.{Partitioner, TaskContext}
+import org.apache.spark.{Partition, Partitioner, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 
 import repro.graph.{Grid2D, Hashing}
 
@@ -36,7 +35,8 @@ import scala.collection.mutable
   * output. Each iteration caches exactly one RDD, the new cells, and
   * `localCheckpoint`s it, so its lineage ends at its own disk-backed blocks;
   * the previous cells are released after the gather. Cached blocks that
-  * memory pressure evicts spill to disk instead of being recomputed.
+  * memory pressure evicts spill to disk instead of being recomputed. The
+  * final cells' allocation labels are the output (paper §4): see [[Result]].
   *
   * Copy-on-write still matters: both stages and every task retry start
   * from the same cached parent state, so each transformation copies it
@@ -63,9 +63,10 @@ object DistributedNE {
     require(lambda > 0.0 && lambda <= 1.0, s"lambda must be in (0,1], got $lambda")
   }
 
-  /** The partitioning. `assignments` is cached `MEMORY_AND_DISK`; its
-    * lineage ends at released checkpoints, so it cannot be recomputed:
-    * collect it before calling `unpersist`, not after.
+  /** The partitioning. `assignments` reads the allocation labels of the
+    * final cells, which stay cached (`localCheckpoint`ed) until
+    * `assignments.unpersist` releases them; it can be read any number of
+    * times before that and not at all after, so collect it first.
     */
   final case class Result(
       assignments: RDD[(Long, Long, Int)],
@@ -200,15 +201,17 @@ object DistributedNE {
       it.map { case (_, c) => (c.state.graph.numEdges.toLong, c.report.samples) }.toArray
   }
 
-  /** The final assignment triples of a cell. */
-  private object Assignments
-      extends (((Int, Cell)) => Iterator[(Long, Long, Int)]) with Serializable {
-    def apply(kc: (Int, Cell)): Iterator[(Long, Long, Int)] = kc._2.state.assignments
-  }
+  /** `Result.assignments`: read from the cached final cells on every pass. */
+  private final class Assignments(cells: RDD[(Int, Cell)]) extends RDD[(Long, Long, Int)](cells) {
+    override def compute(split: Partition, ctx: TaskContext): Iterator[(Long, Long, Int)] =
+      cells.iterator(split, ctx).flatMap(_._2.state.assignments)
 
-  /** Runs a partition to the end, which materialises a cached RDD. */
-  private object Drain extends ((TaskContext, Iterator[Any]) => Unit) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[Any]): Unit = while (it.hasNext) it.next()
+    override protected def getPartitions: Array[Partition] = cells.partitions
+
+    override def unpersist(blocking: Boolean): this.type = {
+      cells.unpersist(blocking)
+      super.unpersist(blocking)
+    }
   }
 
   /** Partitions `edges` (canonical undirected) into `cfg.numPartitions`
@@ -324,11 +327,7 @@ object DistributedNE {
       s"Distributed NE did not converge in $MaxIterations iterations " +
       s"($totalAllocated / $numEdges edges allocated)")
 
-    val assignments = cells.flatMap(Assignments)
-    assignments.persist(StorageLevel.MEMORY_AND_DISK)
-    sc.runJob(assignments, Drain)
-    cells.unpersist(blocking = false)
-    Result(assignments, numEdges, iter, exps.map(_.size))
+    Result(new Assignments(cells), numEdges, iter, exps.map(_.size))
   }
 
   /** Deduplicated random-restart candidate pool, order-stable in the input. */

@@ -12,7 +12,7 @@ import org.apache.spark.sql.functions._
   *  - vertex balance      VB = max_p |V(E_p)| / mean_p |V(E_p)|
   * with |V| = |V(E)| (vertices incident to at least one edge).
   *
-  * Tests verify these aggregations against DuckDB via [[repro.Oracle]].
+  * Tests verify these aggregations against DuckDB via the test-only `repro.Oracle`.
   */
 object Metrics {
 

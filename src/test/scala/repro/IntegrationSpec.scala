@@ -116,6 +116,12 @@ class IntegrationSpec extends SparkSpec {
       Runners.run("nope", spark, rdd, edges, 4))
   }
 
+  test("TableJob rejects an unknown table number and lists the known ones") {
+    // thrown before the job creates (and at the end stops) a SparkSession
+    val e = intercept[IllegalArgumentException](repro.jobs.TableJob.main(Array("2")))
+    assert(e.getMessage.contains("known: 1, 4, 5, 6"), e.getMessage)
+  }
+
   test("every table bench names only methods Runners knows") {
     for (m <- Table4.methods ++ Table5.methods ++ Table6.methods)
       assert(Runners.methods.contains(m), s"unknown method $m in a table")

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Test}
+import org.scalacheck.Prop.{forAllNoShrink, propBoolean}
+import org.scalacheck.util.Pretty
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.{GraphGen, LocalMetrics}
+import repro.graph.{GraphGen, Grid2D, LocalMetrics}
 import repro.theory.Bounds
 
 /** Seed- and shape-sweep properties of Distributed NE: Theorem 1 and the
@@ -76,5 +79,33 @@ class DistributedNEPropertySpec extends SparkSpec {
     // each of the A = p cells may overshoot a partition's cap by one edge
     val eb = res.partitionSizes.max / (edges.length.toDouble / p)
     assert(eb <= 1.1 + p.toDouble * p / edges.length, s"EB $eb")
+  }
+
+  test("random skewed graphs: exactly once, Theorem 1 and EB <= alpha + A*P/|E| (ScalaCheck)") {
+    val runs = for {
+      nV <- Gen.chooseNum(20, 150)
+      density <- Gen.chooseNum(2, 6)
+      graphSeed <- Gen.chooseNum(1L, 1000000L)
+      p <- Gen.oneOf(2, 3, 4, 8)
+      lambda <- Gen.chooseNum(1, 100).map(_ / 100.0)
+      seed <- Gen.chooseNum(1L, 1000000L)
+    } yield (TestGraphs.skewed(nV, nV * density, graphSeed), p, lambda, seed)
+    // each case is a whole Spark run: a dozen keeps the suite's time flat
+    val prop = forAllNoShrink(runs) { case (edges, p, lambda, seed) =>
+      val (t, _) = run(edges, p, seed, lambda)
+      val exactlyOnce = t.length == edges.length &&
+        t.map(x => (x._1, x._2)).toSet == edges.toSet && t.forall(x => x._3 >= 0 && x._3 < p)
+      val rf = LocalMetrics.replicationFactor(t)
+      val ub = Bounds.theorem1(edges.length, LocalMetrics.numVertices(edges), p)
+      // each of the A cells may overshoot a partition's cap by one edge
+      val ebBound = 1.1 + Grid2D.forPartitions(p).numCells.toDouble * p / edges.length
+      val eb = t.groupBy(_._3).values.map(_.length).max / (edges.length.toDouble / p)
+      val where = s"|E|=${edges.length} P=$p lambda=$lambda seed=$seed"
+      (exactlyOnce :| s"$where: not allocated exactly once") &&
+        ((rf <= ub + 1e-9) :| s"$where: RF $rf above Theorem 1 bound $ub") &&
+        ((eb <= ebBound) :| s"$where: EB $eb above $ebBound")
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(12), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 }

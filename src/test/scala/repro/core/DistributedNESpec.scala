@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkEnv
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
@@ -210,6 +210,43 @@ class DistributedNESpec extends SparkSpec {
       assert(tasks.size >= 2 * res.iterations, s"saw ${tasks.size} stages in ${res.iterations} iterations")
       assert(tasks.asScala.max <= bound, s"a stage ran ${tasks.asScala.max} tasks, bound $bound")
     } finally sc.removeSparkListener(counter)
+  }
+
+  test("a partition call runs iterations + 1 jobs and assignments.unpersist leaves nothing cached") {
+    val sc = spark.sparkContext
+    val edges = TestGraphs.skewed(200, 1000)
+    val input = rddOf(edges)
+    val phase = "dne.test.phase"
+    val jobs = new ConcurrentLinkedQueue[String]()
+    val counter = new SparkListener {
+      override def onJobStart(s: SparkListenerJobStart): Unit =
+        jobs.add(Option(s.properties).flatMap(p => Option(p.getProperty(phase))).getOrElse(""))
+    }
+    val before = sc.getPersistentRDDs.keySet
+    sc.addSparkListener(counter)
+    try {
+      sc.setLocalProperty(phase, "call")
+      val res = DistributedNE.partition(spark, input, DistributedNE.Config(4))
+      sc.setLocalProperty(phase, "read")
+      val reads = Seq.fill(2)(res.assignments.collect().sortBy(t => (t._1, t._2)).toSeq)
+      sc.setLocalProperty(phase, null)
+      assert(reads(0) == reads(1), "a second read of the assignments differs from the first")
+      checkComplete(edges, reads(0).toArray, 4)
+      // the listener bus is asynchronous and in order: once both reads are
+      // seen, so is every job of the call
+      val deadline = System.nanoTime() + 10000000000L
+      while (jobs.asScala.count(_ == "read") < 2 && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(jobs.asScala.count(_ == "read") == 2, s"saw jobs ${jobs.asScala.mkString(", ")}")
+      // the initial gather, then one job per iteration; no job to build the output
+      assert(jobs.asScala.count(_ == "call") == res.iterations + 1,
+        s"${jobs.asScala.count(_ == "call")} jobs in ${res.iterations} iterations")
+      res.assignments.unpersist(blocking = true)
+      val left = sc.getPersistentRDDs.keySet.filterNot(before)
+      assert(left.isEmpty, s"still cached after unpersist: ${left.map(sc.getPersistentRDDs).mkString(", ")}")
+    } finally {
+      sc.setLocalProperty(phase, null)
+      sc.removeSparkListener(counter)
+    }
   }
 
   test("a partition call hands Spark's closure cleaner no lambda") {
