@@ -1,6 +1,6 @@
 package repro.apps
 
-import repro.graph.{Hashing, LocalGraph}
+import repro.graph.{Hashing, LocalGraph, PartitionSets}
 
 /** Deterministic simulator of a synchronous GAS (gather–apply–scatter)
   * engine — the PowerLyra/PowerGraph substrate the paper runs SSSP, WCC and
@@ -18,12 +18,12 @@ import repro.graph.{Hashing, LocalGraph}
   *  - scatter traffic           = updated values sent master → mirrors.
   *
   * `ET` is then the [[CostModel]] applied per superstep; `COM` and `WB` are
-  * the raw counters. Supports up to 64 partitions (proposer sets are Long
-  * bitmasks) — every Table 5/6 configuration uses |P| = 64.
+  * the raw counters. Replica and per-superstep proposer sets are
+  * [[PartitionSets]], so any partition count works.
   */
 final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int], val numParts: Int) {
   require(edges.length == assign.length, "assignment must cover every edge")
-  require(numParts >= 1 && numParts <= 64, s"engine supports 1..64 partitions, got $numParts")
+  require(numParts >= 1, s"engine needs at least one partition, got $numParts")
   require(assign.forall(p => p >= 0 && p < numParts), "partition id out of range")
 
   val graph: LocalGraph = LocalGraph.build(edges)
@@ -32,15 +32,9 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int], val numPar
 
   /** Per-vertex replica partitions (sorted) and hash-chosen master. */
   val replicaParts: Array[Array[Int]] = {
-    val masks = new Array[Long](n)
-    var e = 0
-    while (e < m) {
-      val bit = 1L << assign(e)
-      masks(graph.lsrc(e)) |= bit
-      masks(graph.ldst(e)) |= bit
-      e += 1
-    }
-    masks.map(maskToParts)
+    val sets = PartitionSets(n, numParts)
+    (0 until m).foreach { e => sets.add(graph.lsrc(e), assign(e)); sets.add(graph.ldst(e), assign(e)) }
+    Array.tabulate(n)(sets.toArray)
   }
   val master: Array[Int] = Array.tabulate(n) { lv =>
     val reps = replicaParts(lv)
@@ -62,16 +56,6 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int], val numPar
   /** Σ_v (replicas(v) − 1) — the mirror count that drives all-active traffic. */
   val totalMirrors: Long = replicaParts.map(_.length.toLong - 1).sum
 
-  private def maskToParts(mask: Long): Array[Int] = {
-    val out = new Array[Int](java.lang.Long.bitCount(mask))
-    var i = 0; var p = 0; var mm = mask
-    while (mm != 0) {
-      if ((mm & 1) != 0) { out(i) = p; i += 1 }
-      mm >>>= 1; p += 1
-    }
-    out
-  }
-
   import GasEngine.{Damping, Stats}
 
   /** Frontier-driven min-propagation: the common core of SSSP (unit
@@ -90,48 +74,43 @@ final class GasEngine(edges: Array[(Long, Long)], assign: Array[Int], val numPar
     var elapsed = 0.0
     var supersteps = 0
 
-    val candidate = new java.util.HashMap[Integer, java.lang.Long]()  // lv -> best proposal
-    val proposers = new java.util.HashMap[Integer, java.lang.Long]() // lv -> partition mask
+    // per vertex, the best proposal of this superstep (Long.MaxValue = none)
+    // and the partitions that proposed it
+    val candidate = Array.fill(n)(Long.MaxValue)
+    val proposers = PartitionSets(n, numParts)
 
     while (frontier.nonEmpty) {
       supersteps += 1
       val stepWork = new Array[Long](numParts)
-      candidate.clear(); proposers.clear()
+      var stepBytes = 0L
+      val next = scala.collection.mutable.ArrayBuffer.empty[Int]
       frontier.foreach { lv =>
         val send = relax(value(lv))
         var k = graph.adjOff(lv)
         while (k < graph.adjOff(lv + 1)) {
           val e = graph.adjEdge(k)
-          val lw: Integer = graph.other(e, lv)
-          stepWork(assign(e)) += 1
+          val lw = graph.other(e, lv)
+          val p = assign(e)
+          stepWork(p) += 1
           if (send < value(lw)) {
-            val cur = candidate.get(lw)
-            if (cur == null || send < cur.longValue()) candidate.put(lw, java.lang.Long.valueOf(send))
-            val mask = proposers.get(lw)
-            val bit = 1L << assign(e)
-            proposers.put(lw, java.lang.Long.valueOf(if (mask == null) bit else mask | bit))
+            if (candidate(lw) == Long.MaxValue) next += lw
+            if (send < candidate(lw)) candidate(lw) = send
+            // gather: every proposing replica that is not the master ships
+            // one partial-aggregate record to the master
+            if (proposers.add(lw, p) && p != master(lw)) stepBytes += CostModel.RecordBytes
           }
           k += 1
         }
       }
-      // gather: every proposing replica that is not the master ships one
-      // partial-aggregate record to the master
-      var stepBytes = 0L
-      val next = scala.collection.mutable.ArrayBuffer.empty[Int]
-      val it = candidate.entrySet().iterator()
-      while (it.hasNext) {
-        val ent = it.next()
-        val lw = ent.getKey.intValue()
-        val mask = proposers.get(ent.getKey).longValue()
-        val nonMaster = java.lang.Long.bitCount(mask & ~(1L << master(lw)))
-        stepBytes += nonMaster * CostModel.RecordBytes
-        if (ent.getValue < value(lw)) {
-          value(lw) = ent.getValue
-          next += lw
-          // scatter: master broadcasts the new value to all mirrors
-          stepBytes += (replicaParts(lw).length - 1) * CostModel.RecordBytes
-          stepWork(master(lw)) += 1
-        }
+      // apply at the master: a proposal is only made below `value`, so every
+      // proposed vertex improves
+      next.foreach { lw =>
+        value(lw) = candidate(lw)
+        candidate(lw) = Long.MaxValue
+        proposers.clear(lw)
+        // scatter: master broadcasts the new value to all mirrors
+        stepBytes += (replicaParts(lw).length - 1) * CostModel.RecordBytes
+        stepWork(master(lw)) += 1
       }
       var p = 0
       var maxWork = 0L

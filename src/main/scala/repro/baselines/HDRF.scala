@@ -1,6 +1,6 @@
 package repro.baselines
 
-import scala.collection.mutable
+import repro.graph.{LocalGraph, PartitionSets}
 
 /** HDRF — High-Degree (are) Replicated First (Petroni et al. CIKM'15), the
   * sequential streaming baseline of Table 4.
@@ -24,8 +24,9 @@ object HDRF {
   def partition(edges: Array[(Long, Long)], p: Int): Array[Int] = {
     require(p >= 1)
     val out = new Array[Int](edges.length)
-    val replicas = new mutable.HashMap[Long, mutable.BitSet]()
-    val degree = new mutable.HashMap[Long, Int]()
+    val g = LocalGraph.build(edges)
+    val replicas = PartitionSets(g.numVertices, p)
+    val degree = new Array[Int](g.numVertices) // partial degrees
     val load = new Array[Long](p)
     var maxLoad = 0L
     var minLoad = 0L
@@ -43,20 +44,18 @@ object HDRF {
     var i = 0
     while (i < edges.length) {
       val idx = order(i)
-      val (u, v) = edges(idx)
-      val du = degree.updateWith(u)(d => Some(d.getOrElse(0) + 1)).get
-      val dv = degree.updateWith(v)(d => Some(d.getOrElse(0) + 1)).get
+      val u = g.lsrc(idx); val v = g.ldst(idx)
+      degree(u) += 1; val du = degree(u)
+      degree(v) += 1; val dv = degree(v) // a self-loop counts twice
       val thetaU = du.toDouble / (du + dv)
       val thetaV = 1.0 - thetaU
-      val au = replicas.getOrElseUpdate(u, mutable.BitSet.empty)
-      val av = replicas.getOrElseUpdate(v, mutable.BitSet.empty)
       var best = -1
       var bestScore = Double.NegativeInfinity
       var q = 0
       while (q < p) {
         if (load(q) < cap) {
-          val gU = if (au.contains(q)) 1.0 + (1.0 - thetaU) else 0.0
-          val gV = if (av.contains(q)) 1.0 + (1.0 - thetaV) else 0.0
+          val gU = if (replicas.contains(u, q)) 1.0 + (1.0 - thetaU) else 0.0
+          val gV = if (replicas.contains(v, q)) 1.0 + (1.0 - thetaV) else 0.0
           val cBal = (maxLoad - load(q)).toDouble / (Eps + (maxLoad - minLoad).toDouble)
           val score = gU + gV + Balance * cBal
           if (score > bestScore) { bestScore = score; best = q }
@@ -65,7 +64,7 @@ object HDRF {
       }
       require(best >= 0, "capacity exhausted — alpha must exceed 1.0")
       out(idx) = best
-      au += best; av += best
+      replicas.add(u, best); replicas.add(v, best)
       load(best) += 1
       if (load(best) > maxLoad) maxLoad = load(best)
       minLoad = load.min // p is small (≤ 1024); fine per edge at repro scale

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import repro.graph.Hashing
+import repro.graph.{LocalGraph, PartitionSets}
 
 /** PowerGraph's *Oblivious* greedy edge placement (Gonzalez et al. OSDI'12).
   *
@@ -11,9 +11,9 @@ import repro.graph.Hashing
   * "oblivious" means, and it maps 1:1 to `mapPartitions` over |P| streams:
   *
   *  1. A(u) ∩ A(v) ≠ ∅ → least-loaded partition in the intersection;
-  *  2. both non-empty, disjoint → least-loaded in the union;
-  *  3. exactly one non-empty → least-loaded among it;
-  *  4. both empty → least-loaded partition overall.
+  *  2. otherwise, A(u) ∪ A(v) ≠ ∅ → least-loaded in the union (when one
+  *     side is empty, the union is the other side);
+  *  3. both empty → least-loaded partition overall.
   *
   * The streams and their order are deterministic (hash split + local sort),
   * so the whole partitioner is reproducible.
@@ -34,47 +34,35 @@ object Oblivious {
       .map { case ((u, v), i) => ((i / chunk).toInt.min(p - 1), (u, v)) }
       .partitionBy(new HashPartitioner(p))
       .mapPartitions({ it =>
-        val stream = it.map(_._2).toArray.sortInPlace()(Ordering.Tuple2[Long, Long])
-        val a = new java.util.HashMap[Long, java.util.BitSet]()
+        val stream = it.map(_._2).toArray.sorted(Ordering.Tuple2[Long, Long])
+        val g = LocalGraph.build(stream)
+        val a = PartitionSets(g.numVertices, p)
         val load = new Array[Long](p)
         // per-stream capacity, as production greedy loaders enforce: with a
-        // contiguous chunk a hub's whole bundle hits rule 3 and would pin
+        // contiguous chunk a hub's whole bundle hits rule 2 and would pin
         // to one machine, wrecking the edge balance the paper reports
         // (EB ≈ 1.0–1.7 for Oblivious in Table 5)
         val cap = math.max(1L, math.ceil(1.15 * stream.length / p).toLong)
-        def parts(x: Long): java.util.BitSet = {
-          var s = a.get(x)
-          if (s == null) { s = new java.util.BitSet(p); a.put(x, s) }
-          s
-        }
-        def leastLoaded(candidates: Iterator[Int]): Int = {
+        // no candidates (rule 3), or every candidate at capacity → least
+        // loaded overall
+        def leastLoaded(candidates: Array[Int]): Int = {
           var best = -1; var bestLoad = Long.MaxValue
           candidates.foreach { q =>
             if (load(q) < bestLoad && load(q) < cap) { best = q; bestLoad = load(q) }
           }
-          if (best < 0) { // every candidate at capacity → least loaded overall
+          if (best < 0) {
             var q = 0
             while (q < p) { if (load(q) < bestLoad) { best = q; bestLoad = load(q) }; q += 1 }
           }
           best
         }
-        def bits(s: java.util.BitSet): Iterator[Int] =
-          Iterator.iterate(s.nextSetBit(0))(i => s.nextSetBit(i + 1)).takeWhile(_ >= 0)
-        stream.iterator.map { case (u, v) =>
-          val au = parts(u); val av = parts(v)
-          val inter = au.clone().asInstanceOf[java.util.BitSet]
-          inter.and(av)
-          val target =
-            if (!inter.isEmpty) leastLoaded(bits(inter))
-            else if (!au.isEmpty && !av.isEmpty) {
-              val union = au.clone().asInstanceOf[java.util.BitSet]
-              union.or(av)
-              leastLoaded(bits(union))
-            } else if (!au.isEmpty) leastLoaded(bits(au))
-            else if (!av.isEmpty) leastLoaded(bits(av))
-            else leastLoaded(Iterator.range(0, p))
-          au.set(target); av.set(target); load(target) += 1
-          (u, v, target)
+        stream.indices.iterator.map { e =>
+          val u = g.lsrc(e); val v = g.ldst(e)
+          val au = a.toArray(u); val av = a.toArray(v)
+          val inter = au.filter(a.contains(v, _))
+          val target = leastLoaded(if (inter.nonEmpty) inter else (au ++ av).sorted)
+          a.add(u, target); a.add(v, target); load(target) += 1
+          (stream(e)._1, stream(e)._2, target)
         }
       }, preservesPartitioning = false)
   }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, PartitionSets}
 import scala.collection.mutable
 
 /** SNE — Streaming Neighbor Expansion (Zhang et al. KDD'17), the
@@ -25,7 +25,8 @@ object SNE {
     val out = new Array[Int](m)
     if (m == 0) return out
     val cap = math.ceil(Alpha * m / p).toLong
-    val member = new mutable.HashMap[Long, mutable.BitSet]()
+    val whole = LocalGraph.build(edges) // local ids of the carried memberships
+    val member = PartitionSets(whole.numVertices, p)
     val sizes = new Array[Long](p)
 
     var chunkStart = 0
@@ -34,12 +35,10 @@ object SNE {
       val chunk = java.util.Arrays.copyOfRange(edges, chunkStart, chunkEnd)
       val g = LocalGraph.build(chunk)
       val n = g.numVertices
+      val wholeId = Array.tabulate(n)(lv => whole.localId(g.vertexIds(lv)))
       val localOut = Array.fill(chunk.length)(-1)
       val unalloc = Array.tabulate(n)(g.degree)
       var remaining = chunk.length
-
-      def mem(x: Long): mutable.BitSet =
-        member.getOrElseUpdate(x, mutable.BitSet.empty)
 
       def allocate(e: Int, q: Int): Unit = {
         localOut(e) = q
@@ -47,8 +46,8 @@ object SNE {
         sizes(q) += 1
         unalloc(g.lsrc(e)) -= 1
         unalloc(g.ldst(e)) -= 1
-        mem(g.vertexIds(g.lsrc(e))) += q
-        mem(g.vertexIds(g.ldst(e))) += q
+        member.add(wholeId(g.lsrc(e)), q)
+        member.add(wholeId(g.ldst(e)), q)
       }
 
       /** NE-style expansion of vertex `lv` into `q`, incl. two-hop. The cap
@@ -72,13 +71,26 @@ object SNE {
           while (j < g.adjOff(lu + 1) && sizes(q) < cap) {
             val e = g.adjEdge(j)
             if (localOut(e) < 0) {
-              if (mem(g.vertexIds(g.other(e, lu))).contains(q)) allocate(e, q)
+              if (member.contains(wholeId(g.other(e, lu)), q)) allocate(e, q)
             }
             j += 1
           }
           if (unalloc(lu) > 0) boundary.enqueue((unalloc(lu), lu))
         }
       }
+
+      /** Expands `q` from `boundary`, min-D_rest first (a stale entry is
+        * re-inserted with its current D_rest), until |E_q| reaches `stopAt`
+        * or the boundary runs out.
+        */
+      def grow(q: Int, boundary: mutable.PriorityQueue[(Int, Int)], stopAt: Long): Unit =
+        while (sizes(q) < stopAt && remaining > 0 && boundary.nonEmpty) {
+          val (d, cand) = boundary.dequeue()
+          if (unalloc(cand) > 0) {
+            if (d == unalloc(cand)) expand(cand, q, boundary)
+            else boundary.enqueue((unalloc(cand), cand))
+          }
+        }
 
       // continue each partition's expansion from its carried memberships
       var q = 0
@@ -88,17 +100,11 @@ object SNE {
             Ordering.Tuple2[Int, Int].reverse)
           var lv = 0
           while (lv < n) {
-            if (unalloc(lv) > 0 && mem(g.vertexIds(lv)).contains(q))
+            if (unalloc(lv) > 0 && member.contains(wholeId(lv), q))
               boundary.enqueue((unalloc(lv), lv))
             lv += 1
           }
-          while (sizes(q) < cap && boundary.nonEmpty) {
-            val (d, cand) = boundary.dequeue()
-            if (unalloc(cand) > 0) {
-              if (d == unalloc(cand)) expand(cand, q, boundary)
-              else boundary.enqueue((unalloc(cand), cand))
-            }
-          }
+          grow(q, boundary, cap)
         }
         q += 1
       }
@@ -118,16 +124,9 @@ object SNE {
         }
         val boundary = mutable.PriorityQueue.empty[(Int, Int)](
           Ordering.Tuple2[Int, Int].reverse)
-        val start = sizes(target)
+        val stopAt = math.min(cap, sizes(target) + seedBudget)
         expand(cursor, target, boundary)
-        while (boundary.nonEmpty && sizes(target) - start < seedBudget &&
-               sizes(target) < cap && remaining > 0) {
-          val (d, cand) = boundary.dequeue()
-          if (unalloc(cand) > 0) {
-            if (d == unalloc(cand)) expand(cand, target, boundary)
-            else boundary.enqueue((unalloc(cand), cand))
-          }
-        }
+        grow(target, boundary, stopAt)
       }
 
       var e = 0

@@ -214,8 +214,10 @@ object DistributedNE {
     }
   }
 
-  /** Partitions `edges` (canonical undirected) into `cfg.numPartitions`
-    * edge sets. Returns the assignment as an RDD of (u, v, part) triples.
+  /** Partitions `edges` into `cfg.numPartitions` edge sets. Returns the
+    * assignment as an RDD of (u, v, part) triples. Each input pair is one
+    * undirected edge: self-loops, repeated pairs and either orientation are
+    * accepted, and every occurrence comes back once, as given.
     */
   def partition(spark: SparkSession, edges: RDD[(Long, Long)], cfg: Config): Result =
     partitionOn(spark, edges, cfg, spark.sparkContext.defaultParallelism)

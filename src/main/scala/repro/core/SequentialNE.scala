@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, PartitionSets}
 
 import scala.collection.mutable
 
@@ -29,7 +29,7 @@ object SequentialNE {
     val out = Array.fill(m)(-1)
     if (m == 0) return out
     val unalloc = Array.tabulate(n)(g.degree)
-    val member: Array[mutable.BitSet] = Array.fill(n)(mutable.BitSet.empty)
+    val member = PartitionSets(n, cfg.numPartitions)
     var remaining = m
     var scanCursor = 0 // seeded start for random restarts, then linear scan
     val startAt = Math.floorMod(repro.graph.Hashing.mix64(cfg.seed), n.toLong).toInt
@@ -48,7 +48,7 @@ object SequentialNE {
       var size = 0L
       val heap = mutable.PriorityQueue.empty[(Int, Int)](
         Ordering.Tuple2[Int, Int].reverse) // (drest, localVertex) min-heap
-      val expanded = new java.util.BitSet(n)
+      val expanded = new Array[Boolean](n)
 
       def allocate(e: Int, part: Int): Unit = {
         out(e) = part
@@ -64,8 +64,8 @@ object SequentialNE {
         * for later partitions.
         */
       def expand(lv: Int): Unit = {
-        expanded.set(lv)
-        member(lv) += p
+        expanded(lv) = true
+        member.add(lv, p)
         val newBoundary = mutable.ArrayBuffer.empty[Int]
         var k = g.adjOff(lv)
         while (k < g.adjOff(lv + 1) && size < cap) {
@@ -73,7 +73,7 @@ object SequentialNE {
           if (out(e) < 0) {
             val lu = g.other(e, lv)
             allocate(e, p)
-            if (!member(lu).contains(p)) { member(lu) += p; newBoundary += lu }
+            if (member.add(lu, p)) newBoundary += lu
           }
           k += 1
         }
@@ -84,7 +84,7 @@ object SequentialNE {
           while (j < g.adjOff(lu + 1) && size < cap) {
             val e = g.adjEdge(j)
             if (out(e) < 0) {
-              if (member(g.other(e, lu)).contains(p)) allocate(e, p)
+              if (member.contains(g.other(e, lu), p)) allocate(e, p)
             }
             j += 1
           }
@@ -98,7 +98,7 @@ object SequentialNE {
         // D_rest so the min really is the minimum (Eq. 4)
         while (picked < 0 && heap.nonEmpty) {
           val (d, lv) = heap.dequeue()
-          if (!expanded.get(lv) && unalloc(lv) > 0) {
+          if (!expanded(lv) && unalloc(lv) > 0) {
             if (d == unalloc(lv)) picked = lv
             else heap.enqueue((unalloc(lv), lv))
           }

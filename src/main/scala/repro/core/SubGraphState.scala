@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, PartitionSets}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -14,43 +14,25 @@ import scala.collection.mutable.ArrayBuffer
   *  - `alloc`        — per-edge partition id, -1 = unallocated
   *  - `memberships`  — per local vertex, the set of partitions it has been
   *                      allocated to (the replicated vertex allocation ids
-  *                      the paper synchronises), as a bitset of
-  *                      ⌈numPartitions/64⌉ words: bit `p` of vertex `lv` is
-  *                      bit `p % 64` of word `lv·words + p / 64`
+  *                      the paper synchronises), a [[PartitionSets]]
   *  - `unallocCount` — per local vertex, its local D_rest (number of local
   *                      unallocated incident edges)
   *
-  * Every field is a primitive array or the all-primitive `graph`, so
+  * Every field is a primitive array or an all-primitive object, so
   * Spark's size estimator walks a cached state in a fixed number of steps.
   */
 final class SubGraphState private (
     val cellId: Int,
     val graph: LocalGraph,
     val alloc: Array[Int],
-    val memberships: Array[Long],
-    val unallocCount: Array[Int],
-    words: Int
+    val memberships: PartitionSets,
+    val unallocCount: Array[Int]
 ) extends Serializable {
   import graph.{adjEdge, adjOff, vertexIds}
 
   /** Copy-on-write clone: clones the mutable arrays, shares the topology. */
   def copy(): SubGraphState =
-    new SubGraphState(cellId, graph, alloc.clone(), memberships.clone(), unallocCount.clone(), words)
-
-  /** Whether the local replica of vertex `lv` belongs to partition `p`. */
-  def isMember(lv: Int, p: Int): Boolean =
-    (memberships(lv * words + (p >>> 6)) & (1L << (p & 63))) != 0
-
-  /** Adds partition `p` to the local replica of vertex `lv`.
-    * @return true iff the membership was new locally.
-    */
-  private def addMembership(lv: Int, p: Int): Boolean = {
-    val w = lv * words + (p >>> 6)
-    val bit = 1L << (p & 63)
-    val isNew = (memberships(w) & bit) == 0
-    memberships(w) |= bit
-    isNew
-  }
+    new SubGraphState(cellId, graph, alloc.clone(), memberships.copy(), unallocCount.clone())
 
   private def allocateEdge(e: Int, p: Int, msgs: ArrayBuffer[(Long, Int)]): Unit = {
     alloc(e) = p
@@ -58,7 +40,7 @@ final class SubGraphState private (
     while (side < 2) {
       val lx = if (side == 0) graph.lsrc(e) else graph.ldst(e)
       unallocCount(lx) -= 1
-      if (addMembership(lx, p)) msgs += ((vertexIds(lx), p))
+      if (memberships.add(lx, p)) msgs += ((vertexIds(lx), p))
       side += 1
     }
   }
@@ -152,7 +134,7 @@ final class SubGraphState private (
       if (lx >= 0) {
         val key = lx.toLong * 0x100000000L + p
         if (seen.add(key)) {
-          addMembership(lx, p)
+          memberships.add(lx, p)
           local += ((lx, p))
         }
       }
@@ -204,8 +186,8 @@ final class SubGraphState private (
                                 quota: Array[Long]): Int = {
     var best = -1; var bestLoad = Long.MaxValue
     var w = 0
-    while (w < words) {
-      var shared = memberships(lu * words + w) & memberships(lw * words + w)
+    while (w < memberships.words) {
+      var shared = memberships.word(lu, w) & memberships.word(lw, w)
       while (shared != 0) {
         val p = (w << 6) + java.lang.Long.numberOfTrailingZeros(shared)
         val load = sizes(p) + delta(p)
@@ -261,9 +243,7 @@ object SubGraphState {
     */
   def build(cellId: Int, numPartitions: Int, edges: Array[(Long, Long)]): SubGraphState = {
     val g = LocalGraph.build(edges)
-    val words = (numPartitions + 63) >>> 6
     new SubGraphState(cellId, g, Array.fill(g.numEdges)(-1),
-      new Array[Long](Math.multiplyExact(g.numVertices, words)),
-      Array.tabulate(g.numVertices)(g.degree), words)
+      PartitionSets(g.numVertices, numPartitions), Array.tabulate(g.numVertices)(g.degree))
   }
 }

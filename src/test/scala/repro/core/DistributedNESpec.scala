@@ -294,6 +294,25 @@ class DistributedNESpec extends SparkSpec {
     assert(res.numEdges == edges.length)
   }
 
+  test("self-loops, duplicated and reversed pairs: every occurrence comes back once") {
+    val base = TestGraphs.skewed(60, 200, seed = 11)
+    val (u, v) = base(3)
+    val edges = base ++ Array(
+      (5L, 5L), (5L, 5L),        // a repeated self-loop on a graph vertex
+      (900L, 900L),              // a vertex whose only edge is a self-loop
+      base(0), base(1), base(1), // a pair twice, another three times
+      (v, u),                    // both orientations of one pair
+      (1001L, 1000L))            // a lone edge given as (larger, smaller)
+    val key = Ordering.Tuple2[Long, Long]
+    for (p <- Seq(4, 6)) {
+      val (triples, res) = runOn(edges, p)
+      assert(triples.map(t => (t._1, t._2)).sorted(key).toSeq == edges.sorted(key).toSeq,
+        s"P = $p: every input occurrence must come back exactly once, as given")
+      triples.foreach(t => assert(t._3 >= 0 && t._3 < p, s"partition out of range: $t"))
+      assert(res.numEdges == edges.length && res.partitionSizes.sum == edges.length)
+    }
+  }
+
   test("config validation rejects bad parameters") {
     intercept[IllegalArgumentException](DistributedNE.Config(0))
     intercept[IllegalArgumentException](DistributedNE.Config(4, alpha = 1.0))

@@ -73,8 +73,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val bp = st.applySync(Iterator((0L, 1), (0L, 1), (2L, 3), (42L, 0)))
     assert(bp.length == 2) // (0,1) deduped; 42 not local
-    assert(st.isMember(st.graph.localId(0L), 1))
-    assert(st.isMember(st.graph.localId(2L), 3))
+    assert(st.memberships.contains(st.graph.localId(0L), 1))
+    assert(st.memberships.contains(st.graph.localId(2L), 3))
   }
 
   test("two-hop allocation takes exactly the edges whose endpoints share a partition") {
@@ -109,7 +109,7 @@ class SubGraphStateSpec extends AnyFunSuite {
       st
     }
     val st = synced()
-    def held(x: Long) = (0 until p).filter(st.isMember(st.graph.localId(x), _))
+    def held(x: Long) = (0 until p).filter(st.memberships.contains(st.graph.localId(x), _))
     assert(held(1L) == Seq(0, 63, 64, 129))
     assert(held(2L) == Seq(63, 64, 129))
 
@@ -158,7 +158,8 @@ class SubGraphStateSpec extends AnyFunSuite {
     st.allocateOneHop(Array((0L, 0)), Array(0L, 0L), new Array[Long](2), noQuota)
     st.applySync(Iterator((3L, 1), (4L, 1)))
     def snapshot(s: SubGraphState) =
-      (s.alloc.toSeq, s.unallocCount.toSeq, s.memberships.toSeq)
+      (s.alloc.toSeq, s.unallocCount.toSeq,
+        (0 until s.graph.numVertices).map(s.memberships.toArray(_).toSeq))
     val before = snapshot(st)
     // phase 1 runs once per stage, each time on its own copy of the parent
     def oneHop() = {
