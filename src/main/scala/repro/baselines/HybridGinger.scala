@@ -1,7 +1,6 @@
 package repro.baselines
 
-import repro.graph.Hashing
-import scala.collection.mutable
+import repro.graph.{Hashing, LocalGraph}
 
 /** PowerLyra's Hybrid + Ginger (Chen et al. EuroSys'15): hybrid hashing
   * followed by Fennel-style refinement of the low-degree vertex bundles.
@@ -18,47 +17,41 @@ object HybridGinger {
   def partition(edges: Array[(Long, Long)], p: Int,
                 threshold: Int = 100, rounds: Int = 3): Array[Int] = {
     require(p >= 1)
-    val degree = new mutable.HashMap[Long, Int]()
-    edges.foreach { case (u, v) =>
-      degree.updateWith(u)(d => Some(d.getOrElse(0) + 1))
-      degree.updateWith(v)(d => Some(d.getOrElse(0) + 1))
-    }
-    def isLow(x: Long): Boolean = degree(x) <= threshold
+    val g = LocalGraph.build(edges)
+    val ids = g.vertexIds
+    def isLow(lx: Int): Boolean = g.degree(lx) <= threshold
 
     // bundle owner of every vertex; only low-degree owners get refined
-    val owner = new mutable.HashMap[Long, Int]()
-    degree.keysIterator.foreach { x => owner(x) = Hashing.bucket(x, p, 0x916E5L) }
+    val owner = Array.tabulate(g.numVertices)(lx => Hashing.bucket(ids(lx), p, 0x916E5L))
+
+    /** The endpoint whose bundle holds edge (lu, lw): the lower degree,
+      * ties to the smaller global id.
+      */
+    def pivot(lu: Int, lw: Int): Int =
+      if (g.degree(lu) < g.degree(lw) || (g.degree(lu) == g.degree(lw) && ids(lu) < ids(lw))) lu else lw
 
     /** Edge placement under the current owners (the hybrid-cut rule). */
-    def placeEdge(u: Long, v: Long): Int = {
-      val (lo, hi) = if (degree(u) < degree(v) || (degree(u) == degree(v) && u < v)) (u, v) else (v, u)
-      if (isLow(lo)) owner(lo) else owner(hi)
-    }
-
-    // adjacency restricted to low-degree vertices (the movable bundles)
-    val adj = new mutable.HashMap[Long, mutable.ArrayBuffer[Long]]()
-    edges.foreach { case (u, v) =>
-      if (isLow(u)) adj.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += v
-      if (isLow(v)) adj.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += u
+    def placeEdge(e: Int): Int = {
+      val lo = pivot(g.lsrc(e), g.ldst(e))
+      if (isLow(lo)) owner(lo) else owner(g.other(e, lo))
     }
 
     val eCount = new Array[Double](p)
-    edges.foreach { case (u, v) => eCount(placeEdge(u, v)) += 1 }
+    (0 until g.numEdges).foreach(e => eCount(placeEdge(e)) += 1)
     val gamma = BalanceWeight * p.toDouble / math.max(1, edges.length)
     // hard capacity, as in Ginger's balance constraint: a bundle move may
     // not push a partition past capacityFactor × |E|/|P|
     val cap = 1.2 * edges.length / p
 
-    val lowVerts = adj.keysIterator.toArray.sorted
+    // the movable bundles, in global-id order; a vertex's neighbors are its
+    // CSR adjacency (edge order, a self-loop listed twice)
+    val lowVerts = (0 until g.numVertices).filter(isLow).sortBy(ids(_))
     var r = 0
     while (r < rounds) {
       lowVerts.foreach { v =>
-        val neighbors = adj(v)
+        val neighbors = Array.tabulate(g.degree(v))(i => g.other(g.adjEdge(g.adjOff(v) + i), v))
         // size of v's movable bundle: edges where v is the low pivot
-        val bundle = neighbors.count { u =>
-          val (lo, _) = if (degree(v) < degree(u) || (degree(v) == degree(u) && v < u)) (v, u) else (u, v)
-          lo == v
-        }
+        val bundle = neighbors.count(u => pivot(v, u) == v)
         val score = new Array[Double](p)
         neighbors.foreach { u => score(owner(u)) += 1.0 }
         var best = owner(v); var bestScore = Double.NegativeInfinity
@@ -77,6 +70,6 @@ object HybridGinger {
       }
       r += 1
     }
-    edges.map { case (u, v) => placeEdge(u, v) }
+    Array.tabulate(g.numEdges)(placeEdge)
   }
 }

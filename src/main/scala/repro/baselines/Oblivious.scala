@@ -64,6 +64,6 @@ object Oblivious {
           a.add(u, target); a.add(v, target); load(target) += 1
           (stream(e)._1, stream(e)._2, target)
         }
-      }, preservesPartitioning = false)
+      })
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.{Partition, Partitioner, TaskContext}
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 
@@ -13,16 +12,17 @@ import scala.collection.mutable
   * Spark RDD dataflow.
   *
   * Roles (see DESIGN.md §2):
-  *  - allocation processes  = the `A = |P|` grid cells of an
-  *    `RDD[(cell, Cell)]`, 2D-hash initial distribution. The cells are
-  *    packed, in cell order, into `S = min(A, defaultParallelism)` Spark
-  *    partitions ("slots", see [[CellSlots]]), so an iteration runs 2·S
-  *    tasks and its sync shuffle writes S×S blocks; the output depends on
-  *    the cells alone, never on `S`;
-  *  - expansion processes   = driver-side [[ExpansionState]] heaps (tiny);
+  *  - allocation processes  = the `A = |P|` grid cells of an `RDD[Cell]`,
+  *    2D-hash initial distribution. The cells are packed, in cell order,
+  *    into `S = min(A, defaultParallelism)` Spark partitions ("slots", see
+  *    [[CellSlots]]), so an iteration runs 2·S tasks and its sync shuffle
+  *    writes S×S blocks; the output depends on the cells alone, never on
+  *    `S`;
+  *  - expansion processes   = the driver-side [[ExpansionState]]: the
+  *    boundaries, the selection and the reduce of the cells' reports;
   *  - one iteration         = one job of two stages over the cached cells
   *    of the previous iteration:
-  *      1. one-hop allocation under the broadcast selection (phase 1), then
+  *      1. one-hop allocation under the driver's selection (phase 1), then
   *         a `partitionBy` shuffle of new vertex→partition memberships to
   *         each vertex's replica cells (row ∪ column of the grid);
   *      2. phase 1 again, membership sync + two-hop allocation + local-D_rest
@@ -95,7 +95,7 @@ object DistributedNE {
   private val MaxIterations = 100000
 
   /** What a cell tells the driver about the iteration that produced it. */
-  private final class Report(
+  private[core] final class Report(
       val delta: Array[Long],        // phase-1 + two-hop allocations per partition
       val drestVertex: Array[Long],  // local D_rest reports, as parallel arrays
       val drestPart: Array[Int],     //   of (vertex, partition, local D_rest)
@@ -108,8 +108,10 @@ object DistributedNE {
     */
   private final case class Cell(state: SubGraphState, report: Report)
 
-  /** The driver's broadcast for one iteration. */
-  private final case class Step(
+  /** The driver's selection for one iteration, shipped with the stage's
+    * functions (Spark broadcasts each stage's task binary).
+    */
+  private[core] final case class Step(
       selOrder: Array[(Long, Int)], // selected (vertex, partition), sorted
       sizes: Array[Long],           // |E_p| at the start of the iteration
       quota: Array[Long]) {         // per-cell per-partition allocation cap
@@ -145,14 +147,14 @@ object DistributedNE {
 
   /** The initial cells of one slot: a CSR and an empty state per cell. */
   private final class BuildCells(slots: CellSlots, numPartitions: Int, seed: Long)
-      extends ((Int, Iterator[(Int, (Long, Long))]) => Iterator[(Int, Cell)]) with Serializable {
-    def apply(slot: Int, it: Iterator[(Int, (Long, Long))]): Iterator[(Int, Cell)] = {
+      extends ((Int, Iterator[(Int, (Long, Long))]) => Iterator[Cell]) with Serializable {
+    def apply(slot: Int, it: Iterator[(Int, (Long, Long))]): Iterator[Cell] = {
       val byCell = it.toArray.groupBy(_._1) // arrival order within a cell
       slots.cellsOf(slot).iterator.map { cell =>
         val st = SubGraphState.build(cell, numPartitions, byCell.getOrElse(cell, Array.empty).map(_._2))
         val samples = st.sampleUnallocated(SamplesPerCell, seed)
-        (cell, Cell(st, new Report(Array.emptyLongArray, Array.emptyLongArray, Array.emptyIntArray,
-          Array.emptyIntArray, samples)))
+        Cell(st, new Report(Array.emptyLongArray, Array.emptyLongArray, Array.emptyIntArray,
+          Array.emptyIntArray, samples))
       }
     }
   }
@@ -161,10 +163,10 @@ object DistributedNE {
     * the vertex's replica cells (computable from the id — no replica
     * directory).
     */
-  private final class SyncMessages(step: Broadcast[Step], grid: Grid2D)
-      extends (((Int, Cell)) => Iterator[(Int, (Long, Int))]) with Serializable {
-    def apply(kc: (Int, Cell)): Iterator[(Int, (Long, Int))] =
-      step.value.oneHop(kc._2.state)._2.iterator.flatMap { m =>
+  private final class SyncMessages(step: Step, grid: Grid2D)
+      extends (Cell => Iterator[(Int, (Long, Int))]) with Serializable {
+    def apply(c: Cell): Iterator[(Int, (Long, Int))] =
+      step.oneHop(c.state)._2.iterator.flatMap { m =>
         grid.replicaCells(m._1).iterator.map(r => (r, m))
       }
   }
@@ -172,39 +174,37 @@ object DistributedNE {
   /** Phase 1 again, then phases 2–4: sync, two-hop allocation, local
     * D_rest, samples.
     */
-  private final class NextCells(step: Broadcast[Step], iterSeed: Long)
-      extends ((Iterator[(Int, Cell)], Iterator[(Int, (Long, Int))]) => Iterator[(Int, Cell)])
-      with Serializable {
-    def apply(cellIt: Iterator[(Int, Cell)], msgIt: Iterator[(Int, (Long, Int))]): Iterator[(Int, Cell)] = {
-      val s = step.value
+  private final class NextCells(step: Step, iterSeed: Long)
+      extends ((Iterator[Cell], Iterator[(Int, (Long, Int))]) => Iterator[Cell]) with Serializable {
+    def apply(cellIt: Iterator[Cell], msgIt: Iterator[(Int, (Long, Int))]): Iterator[Cell] = {
       val msgsOf = msgIt.toArray.groupBy(_._1) // arrival order within a cell
-      cellIt.map { case (cell, c) =>
-        val (st, _, delta) = s.oneHop(c.state)
-        val bp = st.applySync(msgsOf.getOrElse(cell, Array.empty).iterator.map(_._2))
-        st.allocateTwoHop(bp, s.sizes, delta, s.quota)
+      cellIt.map { c =>
+        val (st, _, delta) = step.oneHop(c.state)
+        val bp = st.applySync(msgsOf.getOrElse(st.cellId, Array.empty).iterator.map(_._2))
+        st.allocateTwoHop(bp, step.sizes, delta, step.quota)
         val (dv, dp, d) = st.localDrest(bp)
-        (cell, Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed))))
+        Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed)))
       }
     }
   }
 
   /** The reports of one slot's cells, in cell order. */
   private object GatherReports
-      extends ((TaskContext, Iterator[(Int, Cell)]) => Array[Report]) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[(Int, Cell)]): Array[Report] = it.map(_._2.report).toArray
+      extends ((TaskContext, Iterator[Cell]) => Array[Report]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[Report] = it.map(_.report).toArray
   }
 
   /** The edge count and samples of each initial cell of one slot. */
   private object GatherInitial
-      extends ((TaskContext, Iterator[(Int, Cell)]) => Array[(Long, Array[Long])]) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[(Int, Cell)]): Array[(Long, Array[Long])] =
-      it.map { case (_, c) => (c.state.graph.numEdges.toLong, c.report.samples) }.toArray
+      extends ((TaskContext, Iterator[Cell]) => Array[(Long, Array[Long])]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[(Long, Array[Long])] =
+      it.map(c => (c.state.graph.numEdges.toLong, c.report.samples)).toArray
   }
 
   /** `Result.assignments`: read from the cached final cells on every pass. */
-  private final class Assignments(cells: RDD[(Int, Cell)]) extends RDD[(Long, Long, Int)](cells) {
+  private final class Assignments(cells: RDD[Cell]) extends RDD[(Long, Long, Int)](cells) {
     override def compute(split: Partition, ctx: TaskContext): Iterator[(Long, Long, Int)] =
-      cells.iterator(split, ctx).flatMap(_._2.state.assignments)
+      cells.iterator(split, ctx).flatMap(_.state.assignments)
 
     override protected def getPartitions: Array[Partition] = cells.partitions
 
@@ -233,108 +233,38 @@ object DistributedNE {
     val cellPart = CellSlots(grid.numCells, math.min(grid.numCells, slots))
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
-    var cells: RDD[(Int, Cell)] = edges
+    var cells: RDD[Cell] = edges
       .map(new KeyByCell(grid))
       .partitionBy(cellPart)
-      .mapPartitionsWithIndex(new BuildCells(cellPart, p, cfg.seed), preservesPartitioning = true)
+      .mapPartitionsWithIndex(new BuildCells(cellPart, p, cfg.seed))
       .localCheckpoint()
 
     val init = sc.runJob(cells, GatherInitial).flatten
     val numEdges = init.map(_._1).sum
     require(numEdges > 0, "cannot partition an empty graph")
-    var pool: Array[Long] = dedupPool(init.flatMap(_._2))
-
-    // ---- driver-side expansion processes ----
-    val exps = Array.tabulate(p)(new ExpansionState(_))
-    val cap = cfg.alpha * numEdges / p
-    var totalAllocated = 0L
+    val exps = new ExpansionState(cfg, numEdges, grid.numCells, init.flatMap(_._2))
     var iter = 0
 
-    while (totalAllocated < numEdges && iter < MaxIterations) {
-      // -- selection (Alg. 1 lines 3–7 / Alg. 4) --
-      val sel = mutable.ArrayBuffer.empty[(Long, Int)]
-      val selectedVs = new java.util.HashSet[Long]()
-      var poolCursor = 0
-      var pi = 0
-      while (pi < p) {
-        val exp = exps(pi)
-        if (!exp.done) {
-          if (exp.boundarySize > 0) {
-            val budget = math.max(1L, math.ceil(cap - exp.size).toLong)
-            exp.popKMin(cfg.lambda, budget).foreach { case (v, _) =>
-              sel += ((v, pi)); selectedVs.add(v)
-            }
-          } else {
-            // random restart: next fresh candidate not already claimed
-            while (poolCursor < pool.length && selectedVs.contains(pool(poolCursor)))
-              poolCursor += 1
-            if (poolCursor < pool.length) {
-              val v = pool(poolCursor); poolCursor += 1
-              exp.markExpanded(v)
-              selectedVs.add(v)
-              sel += ((v, pi))
-            }
-          }
-        }
-        pi += 1
-      }
-      require(sel.nonEmpty,
-        s"no expandable vertex at iteration $iter with ${numEdges - totalAllocated} edges left")
-
-      // per-cell per-partition allocation quota for this iteration: all A
-      // cells together may exceed the cap by at most ~A edges (EB ≈ α)
-      val quota = Array.tabulate(p) { q =>
-        if (exps(q).done) 0L
-        else math.max(1L, math.ceil((cap - exps(q).size) / grid.numCells).toLong)
-      }
-      val step = sc.broadcast(Step(sel.sortBy(x => (x._1, x._2)).toArray, exps.map(_.size), quota))
+    while (exps.remaining > 0 && iter < MaxIterations) {
+      val step = exps.select()
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
       // -- phase 1 + membership sync shuffle to the replica cells --
       val msgs = cells.flatMap(new SyncMessages(step, grid)).partitionBy(cellPart)
 
       // -- phase 1 again, then phases 2–4; the reports gathered by cell --
-      val next = cells
-        .zipPartitions(msgs, preservesPartitioning = true)(new NextCells(step, iterSeed))
-        .localCheckpoint()
+      val next = cells.zipPartitions(msgs)(new NextCells(step, iterSeed)).localCheckpoint()
       val reports = sc.runJob(next, GatherReports).flatten
       cells.unpersist(blocking = false)
       cells = next
-      step.unpersist(blocking = false)
-
-      // -- driver update: sizes, termination, global D_rest, random pool --
-      val drest = new mutable.HashMap[(Long, Int), Int]()
-      reports.foreach { r =>
-        var q = 0
-        while (q < p) {
-          exps(q).size += r.delta(q)
-          totalAllocated += r.delta(q)
-          q += 1
-        }
-        var i = 0
-        while (i < r.drest.length) {
-          drest.updateWith((r.drestVertex(i), r.drestPart(i)))(prev => Some(prev.getOrElse(0) + r.drest(i)))
-          i += 1
-        }
-      }
-      exps.foreach { e => if (e.size > cap) e.done = true }
-      drest.foreach { case ((v, q), d) =>
-        if (!exps(q).done) exps(q).insert(v, d)
-      }
-      pool = dedupPool(reports.flatMap(_.samples))
+      exps.absorb(reports)
       iter += 1
     }
 
-    require(totalAllocated == numEdges,
+    require(exps.remaining == 0,
       s"Distributed NE did not converge in $MaxIterations iterations " +
-      s"($totalAllocated / $numEdges edges allocated)")
+      s"(${numEdges - exps.remaining} / $numEdges edges allocated)")
 
-    Result(new Assignments(cells), numEdges, iter, exps.map(_.size))
-  }
-
-  /** Deduplicated random-restart candidate pool, order-stable in the input. */
-  private def dedupPool(xs: Array[Long]): Array[Long] = {
-    val seen = new java.util.HashSet[Long]()
-    xs.filter(seen.add)
+    Result(new Assignments(cells), numEdges, iter, exps.partitionSizes)
   }
 }

@@ -48,7 +48,6 @@ object SequentialNE {
       var size = 0L
       val heap = mutable.PriorityQueue.empty[(Int, Int)](
         Ordering.Tuple2[Int, Int].reverse) // (drest, localVertex) min-heap
-      val expanded = new Array[Boolean](n)
 
       def allocate(e: Int, part: Int): Unit = {
         out(e) = part
@@ -64,7 +63,6 @@ object SequentialNE {
         * for later partitions.
         */
       def expand(lv: Int): Unit = {
-        expanded(lv) = true
         member.add(lv, p)
         val newBoundary = mutable.ArrayBuffer.empty[Int]
         var k = g.adjOff(lv)
@@ -95,10 +93,12 @@ object SequentialNE {
       while (size < cap && remaining > 0) {
         var picked = -1
         // lazy-refresh pop: stale entries are re-inserted with the current
-        // D_rest so the min really is the minimum (Eq. 4)
+        // D_rest so the min really is the minimum (Eq. 4). An expanded
+        // vertex has no unallocated edge left unless it hit the cap, which
+        // ends the partition, so `unalloc > 0` alone skips it.
         while (picked < 0 && heap.nonEmpty) {
           val (d, lv) = heap.dequeue()
-          if (!expanded(lv) && unalloc(lv) > 0) {
+          if (unalloc(lv) > 0) {
             if (d == unalloc(lv)) picked = lv
             else heap.enqueue((unalloc(lv), lv))
           }

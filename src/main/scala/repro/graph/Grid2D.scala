@@ -20,8 +20,10 @@ final case class Grid2D(rows: Int, cols: Int) {
   def rowOf(x: Long): Int = Hashing.bucket(x, rows, Grid2D.Salt)
   def colOf(x: Long): Int = Hashing.bucket(x, cols, Grid2D.Salt + 1)
 
-  /** Cell owning edge (u, v). Symmetric in (u, v) order is NOT required —
-    * canonical edges always pass (min, max), so placement is deterministic.
+  /** Cell owning edge (u, v). Not symmetric: (u, v) and (v, u) may land in
+    * different cells. Either cell is in the row of one endpoint and the
+    * column of the other, so it is a replica cell of both (see
+    * [[replicaCells]]), and callers may pass a pair in either orientation.
     */
   def cellOf(u: Long, v: Long): Int = rowOf(u) * cols + colOf(v)
 
