@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{Partition, Partitioner, TaskContext}
+import org.apache.spark.{Partition, Partitioner, ReproShim, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 
@@ -34,7 +34,8 @@ import scala.collection.mutable
   * vertices, so running it in both stages is cheaper than caching its
   * output. Each iteration caches exactly one RDD, the new cells, and
   * `localCheckpoint`s it, so its lineage ends at its own disk-backed blocks;
-  * the previous cells are released after the gather. Cached blocks that
+  * the previous cells are released after the gather (by `ReproShim`, since
+  * `unpersist` logs a WARN per checkpointed RDD). Cached blocks that
   * memory pressure evicts spill to disk instead of being recomputed. The
   * final cells' allocation labels are the output (paper §4): see [[Result]].
   *
@@ -209,7 +210,7 @@ object DistributedNE {
     override protected def getPartitions: Array[Partition] = cells.partitions
 
     override def unpersist(blocking: Boolean): this.type = {
-      cells.unpersist(blocking)
+      ReproShim.release(cells, blocking)
       super.unpersist(blocking)
     }
   }
@@ -255,7 +256,7 @@ object DistributedNE {
       // -- phase 1 again, then phases 2–4; the reports gathered by cell --
       val next = cells.zipPartitions(msgs)(new NextCells(step, iterSeed)).localCheckpoint()
       val reports = sc.runJob(next, GatherReports).flatten
-      cells.unpersist(blocking = false)
+      ReproShim.release(cells, blocking = false)
       cells = next
       exps.absorb(reports)
       iter += 1

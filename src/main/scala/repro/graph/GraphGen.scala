@@ -130,22 +130,6 @@ object GraphGen {
     canonicalize(grid union shortcuts)
   }
 
-  /** Theorem 2's tightness construction: an n-clique plus an isolated ring
-    * of n(n−1)/2 vertices. Used by tests asserting `RF ≤ UB`.
-    */
-  def ringPlusClique(spark: SparkSession, n: Int): RDD[(Long, Long)] = {
-    require(n >= 3, s"clique size must be >= 3, got $n")
-    val cliqueEdges = for {
-      i <- 0 until n; j <- (i + 1) until n
-    } yield (i.toLong, j.toLong)
-    val ringSize = n * (n - 1) / 2
-    val base = n.toLong
-    val ringEdges = (0 until ringSize).map { i =>
-      (base + i, base + ((i + 1) % ringSize))
-    }
-    canonicalize(spark.sparkContext.parallelize(cliqueEdges ++ ringEdges))
-  }
-
   /** Community-structured stand-in for web graphs (WebUK-like): K dense
     * RMAT communities joined by sparse bridges. High-quality partitioners
     * reach RF ≈ 1.1–1.5 here, as the paper reports for WebUK.

@@ -27,6 +27,18 @@ object TestGraphs {
   val twoTriangles: Array[(Long, Long)] =
     Array((0L, 1L), (1L, 2L), (0L, 2L), (3L, 4L), (4L, 5L), (3L, 5L), (2L, 3L))
 
+  /** Theorem 2's tightness construction: an n-clique plus an isolated ring
+    * of n(n−1)/2 vertices, as canonical pairs (u < v).
+    */
+  def ringPlusClique(n: Int): Array[(Long, Long)] = {
+    require(n >= 3, s"clique size must be >= 3, got $n")
+    val clique = for { i <- 0 until n; j <- (i + 1) until n } yield (i.toLong, j.toLong)
+    val ringEdges = ring(n * (n - 1) / 2).map { case (u, v) =>
+      (n + math.min(u, v), n + math.max(u, v))
+    }
+    clique.toArray ++ ringEdges
+  }
+
   /** Deterministic pseudo-random small skewed graph (preferential-ish). */
   def skewed(nVertices: Int, nEdges: Int, seed: Long = 7L): Array[(Long, Long)] = {
     val out = mutable.LinkedHashSet.empty[(Long, Long)]

@@ -84,8 +84,20 @@ class DistributedNESpec extends SparkSpec {
     }
   }
 
+  test("ringPlusClique matches Theorem 2's construction sizes") {
+    for (n <- Seq(3, 4, 6)) {
+      val edges = TestGraphs.ringPlusClique(n)
+      edges.foreach { case (u, v) => assert(u < v, s"non-canonical edge ($u,$v)") }
+      assert(edges.toSet.size == edges.length, "duplicate edges")
+      val ringSize = n * (n - 1) / 2 // = the clique's edge count
+      assert(edges.length == 2 * ringSize, s"n=$n: got ${edges.length} edges")
+      val verts = edges.flatMap { case (u, v) => Seq(u, v) }.distinct
+      assert(verts.length == n + ringSize)
+    }
+  }
+
   test("Theorem 2 construction (ring+clique) also respects the bound") {
-    val edges = GraphGen.ringPlusClique(spark, 6).collect()
+    val edges = TestGraphs.ringPlusClique(6)
     val (triples, _) = runOn(edges, 4)
     checkComplete(edges, triples, 4)
     val ub = Bounds.theorem1(edges.length, LocalMetrics.numVertices(edges), 4)
@@ -249,35 +261,44 @@ class DistributedNESpec extends SparkSpec {
     }
   }
 
-  test("a partition call hands Spark's closure cleaner no lambda") {
-    // At debug level the cleaner logs each function it is handed: "Expected
-    // a closure; got <class>" for one it passes through unread, other lines
-    // for a lambda, whose declaring class it parses (for collect() or
-    // count(): RDD and SparkContext, on every call).
-    val cleaner = "org.apache.spark.util.ClosureCleaner"
-    val passed = "Expected a closure; got "
+  /** Runs `body` with logger `name` at `level`, its lines sent only to a
+    * list; returns the result and the lines.
+    */
+  private def withLog[T](name: String, level: Level)(body: => T): (T, Seq[String]) = {
     val lines = new ConcurrentLinkedQueue[String]()
-    val watch = new AbstractAppender("cleaner-watch", null, null, true, Property.EMPTY_ARRAY) {
+    val watch = new AbstractAppender(s"$name-watch", null, null, true, Property.EMPTY_ARRAY) {
       override def append(e: LogEvent): Unit = lines.add(e.getMessage.getFormattedMessage)
     }
     watch.start()
     val ctx = LogManager.getContext(false).asInstanceOf[LoggerContext]
     val config = ctx.getConfiguration
-    val logger = new LoggerConfig(cleaner, Level.DEBUG, false)
-    logger.addAppender(watch, Level.DEBUG, null)
-    val input = rddOf(TestGraphs.skewed(200, 1000))
-    val res =
+    val logger = new LoggerConfig(name, level, false)
+    logger.addAppender(watch, level, null)
+    val result =
       try {
-        config.addLogger(cleaner, logger)
+        config.addLogger(name, logger)
         ctx.updateLoggers()
-        DistributedNE.partition(spark, input, DistributedNE.Config(4))
+        body
       } finally {
-        config.removeLogger(cleaner)
+        config.removeLogger(name)
         ctx.updateLoggers()
         watch.stop()
       }
+    (result, lines.asScala.toSeq)
+  }
+
+  test("a partition call hands Spark's closure cleaner no lambda") {
+    // At debug level the cleaner logs each function it is handed: "Expected
+    // a closure; got <class>" for one it passes through unread, other lines
+    // for a lambda, whose declaring class it parses (for collect() or
+    // count(): RDD and SparkContext, on every call).
+    val passed = "Expected a closure; got "
+    val input = rddOf(TestGraphs.skewed(200, 1000))
+    val (res, lines) = withLog("org.apache.spark.util.ClosureCleaner", Level.DEBUG) {
+      DistributedNE.partition(spark, input, DistributedNE.Config(4))
+    }
     res.assignments.unpersist(blocking = false)
-    val (named, other) = lines.asScala.toSeq.partition(_.startsWith(passed))
+    val (named, other) = lines.partition(_.startsWith(passed))
     val lambdaLines = other.distinct
     assert(lambdaLines.isEmpty, "the cleaner worked on lambdas")
     // a flatMap, a zipPartitions and a runJob per iteration
@@ -285,6 +306,21 @@ class DistributedNESpec extends SparkSpec {
     named.map(_.stripPrefix(passed)).distinct.foreach { name =>
       assert(!name.contains("$anonfun$") && !Class.forName(name).isSynthetic, s"$name is a lambda")
     }
+  }
+
+  test("releasing checkpointed cells logs no lineage warning") {
+    // RDD.unpersist warns on every locally checkpointed RDD it releases;
+    // a call releases one set of cells per iteration, and the final ones
+    // on assignments.unpersist
+    val input = rddOf(TestGraphs.skewed(200, 1000))
+    val (res, lines) = withLog("org.apache.spark.rdd", Level.WARN) {
+      val r = DistributedNE.partition(spark, input, DistributedNE.Config(4))
+      r.assignments.unpersist(blocking = true)
+      r
+    }
+    assert(res.iterations > 1)
+    val warned = lines.filter(_.contains("locally checkpointed"))
+    assert(warned.isEmpty, s"${warned.length} lineage warnings in ${res.iterations} iterations")
   }
 
   test("partition sizes in the result sum to the edge count") {

@@ -88,19 +88,6 @@ class GraphGenSpec extends SparkSpec {
     assert(n.count() == 20 * 29 + 30 * 19)
   }
 
-  test("ringPlusClique matches Theorem 2's construction sizes") {
-    for (n <- Seq(3, 4, 6)) {
-      val edges = GraphGen.ringPlusClique(spark, n).collect()
-      checkCanonical(edges)
-      val ringSize = n * (n - 1) / 2
-      // clique edges + ring edges (ring of size <3 degenerates, so n>=3)
-      val expected = n * (n - 1) / 2 + (if (ringSize >= 3) ringSize else 1)
-      assert(edges.length == expected, s"n=$n: got ${edges.length}, want $expected")
-      val verts = edges.flatMap { case (u, v) => Seq(u, v) }.distinct
-      assert(verts.length == n + ringSize)
-    }
-  }
-
   test("communityGraph builds the requested communities plus bridges") {
     val edges = GraphGen.communityGraph(spark, nCommunities = 4, scalePerCommunity = 7,
       edgeFactor = 4, bridgesPerCommunity = 8, seed = 1).collect()

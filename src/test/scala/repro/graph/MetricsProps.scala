@@ -13,7 +13,7 @@ object MetricsProps extends Properties("LocalMetrics") {
     p <- Gen.chooseNum(1, 8)
     edges <- Gen.listOfN(n, for {
       u <- Gen.chooseNum(0L, 40L)
-      v <- Gen.chooseNum(0L, 40L).suchThat(_ != 0 || true)
+      v <- Gen.chooseNum(0L, 40L)
       q <- Gen.chooseNum(0, p - 1)
     } yield (math.min(u, v), math.max(u, v) + 1, q))
   } yield edges.distinct.toArray

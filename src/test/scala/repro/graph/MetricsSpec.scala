@@ -1,8 +1,12 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.apps.GasEngine
+import repro.baselines.HashPartitioners
 
+/** The program's partition metrics and per-partition counts, checked on
+  * small graphs by hand and against DuckDB SQL over the same assignment.
+  */
 class MetricsSpec extends SparkSpec {
   import repro.TestGraphs.triples
 
@@ -11,80 +15,88 @@ class MetricsSpec extends SparkSpec {
     ts.toSeq.toDF("u", "v", "part")
   }
 
-  test("numVertices counts V(E), not the id space") {
+  /** One row per partition: `(part, <column>)`. */
+  private def perPart(column: String, counts: Array[Long]) = {
     import spark.implicits._
-    val edges = Seq((1L, 5L), (5L, 9L)).toDF("u", "v")
-    assert(Metrics.numVertices(edges) == 3)
+    counts.toSeq.zipWithIndex.map { case (n, p) => (p, n) }.toDF("part", column)
+  }
+
+  test("numVertices counts V(E), not the id space") {
+    assert(LocalMetrics.numVertices(Array((1L, 5L), (5L, 9L))) == 3)
   }
 
   test("RF is 1.0 when every vertex lives in one partition") {
     val ts = triples(TestGraphs.twoTriangles,
       Array(0, 0, 0, 1, 1, 1, 0)) // bridge (2,3) on part 0 replicates 3
     // vertices: 0,1,2 in p0; 3,4,5 in p1; edge (2,3)→p0 adds replica of 3
-    val rf = Metrics.replicationFactor(assignDF(ts))
+    val rf = LocalMetrics.replicationFactor(ts)
     assert(math.abs(rf - 7.0 / 6.0) < 1e-9)
   }
 
   test("RF of an all-one-partition assignment is exactly 1") {
     val ts = triples(TestGraphs.k4, Array.fill(TestGraphs.k4.length)(0))
-    assert(Metrics.replicationFactor(assignDF(ts)) == 1.0)
+    assert(LocalMetrics.replicationFactor(ts) == 1.0)
   }
 
-  test("RF/EB/VB agree with the driver-side LocalMetrics twins") {
+  test("ORACLE: LocalMetrics RF/EB/VB match DuckDB") {
+    import spark.implicits._
     val edges = TestGraphs.skewed(200, 800)
-    val assign = TestGraphs.randomAssign(edges, 8)
-    val ts = triples(edges, assign)
-    val df = assignDF(ts)
-    assert(math.abs(Metrics.replicationFactor(df) - LocalMetrics.replicationFactor(ts)) < 1e-9)
-    assert(math.abs(Metrics.edgeBalance(df) - LocalMetrics.edgeBalance(ts)) < 1e-9)
-    assert(math.abs(Metrics.vertexBalance(df) - LocalMetrics.vertexBalance(ts)) < 1e-9)
+    val ts = triples(edges, TestGraphs.randomAssign(edges, 8))
+    val local = Seq((LocalMetrics.replicationFactor(ts), LocalMetrics.edgeBalance(ts),
+      LocalMetrics.vertexBalance(ts)))
+    Oracle.assertEquivalent(local.toDF("rf", "eb", "vb"),
+      """WITH reps AS (
+        |  SELECT DISTINCT part, u AS x FROM assign
+        |  UNION
+        |  SELECT DISTINCT part, v AS x FROM assign
+        |), verts AS (
+        |  SELECT u AS x FROM assign UNION SELECT v AS x FROM assign
+        |), e AS (
+        |  SELECT part, COUNT(*) AS n FROM assign GROUP BY part
+        |), r AS (
+        |  SELECT part, COUNT(*) AS n FROM reps GROUP BY part
+        |)
+        |SELECT CAST((SELECT COUNT(*) FROM reps) AS DOUBLE) / (SELECT COUNT(*) FROM verts) AS rf,
+        |       (SELECT MAX(n) / AVG(n) FROM e) AS eb,
+        |       (SELECT MAX(n) / AVG(n) FROM r) AS vb""".stripMargin,
+      "assign" -> assignDF(ts))
   }
 
   test("LocalMetrics RF counts exact (vertex, part) replicas for large ids") {
     // a Long key u·131071 + p wraps both replicas below to 0
     val ts = Array((0L, 5L, 0), (2251816993685505L, 7L, 1))
     assert(LocalMetrics.replicationFactor(ts) == 1.0)
-    assert(Metrics.replicationFactor(assignDF(ts)) == 1.0)
   }
 
   test("ORACLE: replica count matches DuckDB over the same assignment") {
     val edges = TestGraphs.skewed(100, 300)
-    val ts = triples(edges, TestGraphs.randomAssign(edges, 4))
-    val df = assignDF(ts)
-    val sparkReplicas = Metrics.replicas(df).groupBy("part")
-      .count().withColumnRenamed("count", "replicas")
-      .orderBy("part")
-    Oracle.assertEquivalent(
-      sparkReplicas,
+    val assign = TestGraphs.randomAssign(edges, 4)
+    Oracle.assertEquivalent(perPart("replicas", new GasEngine(edges, assign, 4).replicasPerPart),
       """SELECT part, COUNT(*) AS replicas FROM (
         |  SELECT DISTINCT part, u AS x FROM assign
         |  UNION
         |  SELECT DISTINCT part, v AS x FROM assign
-        |) GROUP BY part ORDER BY part""".stripMargin,
-      "assign" -> df)
+        |) GROUP BY part""".stripMargin,
+      "assign" -> assignDF(triples(edges, assign)))
   }
 
   test("ORACLE: per-partition edge counts match DuckDB") {
     val edges = TestGraphs.skewed(150, 500, seed = 11)
-    val ts = triples(edges, TestGraphs.randomAssign(edges, 8))
-    val df = assignDF(ts)
-    val counts = df.groupBy("part").agg(count(lit(1)) as "edges").orderBy("part")
-    Oracle.assertEquivalent(counts,
-      "SELECT part, COUNT(*) AS edges FROM assign GROUP BY part ORDER BY part",
-      "assign" -> df)
+    val assign = TestGraphs.randomAssign(edges, 8)
+    Oracle.assertEquivalent(perPart("edges", new GasEngine(edges, assign, 8).edgesPerPart),
+      "SELECT part, COUNT(*) AS edges FROM assign GROUP BY part",
+      "assign" -> assignDF(triples(edges, assign)))
   }
 
   test("ORACLE: degree table matches DuckDB") {
     import spark.implicits._
     val edges = TestGraphs.skewed(80, 250, seed = 5)
-    val df = edges.toSeq.toDF("u", "v")
-    val degrees = df.select($"u" as "x").union(df.select($"v" as "x"))
-      .groupBy("x").agg(count(lit(1)) as "degree")
-    Oracle.assertEquivalent(degrees,
+    val degrees = HashPartitioners.degrees(spark.sparkContext.parallelize(edges.toSeq, 4)).collect()
+    Oracle.assertEquivalent(degrees.toSeq.toDF("x", "degree"),
       """SELECT x, COUNT(*) AS degree FROM (
         |  SELECT u AS x FROM edges UNION ALL SELECT v AS x FROM edges
         |) GROUP BY x""".stripMargin,
-      "edges" -> df)
+      "edges" -> edges.toSeq.toDF("u", "v"))
   }
 
   test("edgeBalance of a perfectly even assignment is 1") {
@@ -101,19 +113,7 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(eb - 1.8) < 1e-9) // max 9 / mean 5
   }
 
-  test("summary packs all metrics consistently") {
-    val edges = TestGraphs.skewed(100, 400, seed = 2)
-    val ts = triples(edges, TestGraphs.randomAssign(edges, 4))
-    val s = Metrics.summary(assignDF(ts))
-    assert(s.numEdges == edges.length)
-    assert(s.numParts == ts.map(_._3).distinct.length)
-    assert(s.replicationFactor >= 1.0)
-    assert(s.edgeBalance >= 1.0 && s.vertexBalance >= 1.0)
-  }
-
   test("replicationFactor rejects an empty graph") {
-    import spark.implicits._
-    val empty = Seq.empty[(Long, Long, Int)].toDF("u", "v", "part")
-    intercept[IllegalArgumentException](Metrics.replicationFactor(empty))
+    intercept[IllegalArgumentException](LocalMetrics.replicationFactor(Array.empty[(Long, Long, Int)]))
   }
 }
