@@ -6,8 +6,6 @@ import org.apache.spark.sql.SparkSession
 
 import repro.graph.{Grid2D, Hashing}
 
-import scala.collection.mutable
-
 /** Distributed Neighbor Expansion (the paper's contribution, §3–§5) as a
   * Spark RDD dataflow.
   *
@@ -15,23 +13,28 @@ import scala.collection.mutable
   *  - allocation processes  = the `A = |P|` grid cells of an `RDD[Cell]`,
   *    2D-hash initial distribution. The cells are packed, in cell order,
   *    into `S = min(A, defaultParallelism)` Spark partitions ("slots", see
-  *    [[CellSlots]]), so an iteration runs 2·S tasks and its sync shuffle
-  *    writes S×S blocks; the output depends on the cells alone, never on
-  *    `S`;
+  *    [[CellSlots]]), so an iteration runs 2·S tasks and no shuffle; the
+  *    output depends on the cells alone, never on `S`;
   *  - expansion processes   = the driver-side [[ExpansionState]]: the
   *    boundaries, the selection and the reduce of the cells' reports;
-  *  - one iteration         = one job of two stages over the cached cells
+  *  - one iteration         = two single-stage jobs over the cached cells
   *    of the previous iteration:
-  *      1. one-hop allocation under the driver's selection (phase 1), then
-  *         a `partitionBy` shuffle of new vertex→partition memberships to
-  *         each vertex's replica cells (row ∪ column of the grid);
+  *      1. one-hop allocation under the driver's selection (phase 1) on a
+  *         copy of each cell; the driver gathers the new vertex→partition
+  *         memberships, in cell order, into the [[Step]];
   *      2. phase 1 again, membership sync + two-hop allocation + local-D_rest
   *         reports (phases 2–4); the new cells are cached and their small
   *         reports are gathered and reduced on the driver (the global
   *         D_rest gather).
   *
+  * The paper sends each membership to its vertex's row ∪ column of the grid
+  * ([[Grid2D.replicaCells]]). Here every cell gets the whole list with the
+  * phase-2 stage's broadcast task binary (once per executor), and
+  * `applySync` skips the vertices it does not hold, which leaves exactly its
+  * row ∪ column messages, in source-cell order.
+  *
   * Phase 1 is deterministic and only walks the edges of the selected
-  * vertices, so running it in both stages is cheaper than caching its
+  * vertices, so running it in both jobs is cheaper than caching its
   * output. Each iteration caches exactly one RDD, the new cells, and
   * `localCheckpoint`s it, so its lineage ends at its own disk-backed blocks;
   * the previous cells are released after the gather (by `ReproShim`, since
@@ -39,7 +42,7 @@ import scala.collection.mutable
   * memory pressure evicts spill to disk instead of being recomputed. The
   * final cells' allocation labels are the output (paper §4): see [[Result]].
   *
-  * Copy-on-write still matters: both stages and every task retry start
+  * Copy-on-write still matters: both jobs and every task retry start
   * from the same cached parent state, so each transformation copies it
   * before writing, and the dataflow stays a pure function of its inputs.
   *
@@ -109,22 +112,25 @@ object DistributedNE {
     */
   private final case class Cell(state: SubGraphState, report: Report)
 
-  /** The driver's selection for one iteration, shipped with the stage's
-    * functions (Spark broadcasts each stage's task binary).
+  /** The driver's selection for one iteration and, for phase 2, phase 1's
+    * new memberships, shipped with the stage's functions (Spark broadcasts
+    * each stage's task binary).
     */
   private[core] final case class Step(
-      selOrder: Array[(Long, Int)], // selected (vertex, partition), sorted
-      sizes: Array[Long],           // |E_p| at the start of the iteration
-      quota: Array[Long]) {         // per-cell per-partition allocation cap
+      selVertex: Array[Long], selPart: Array[Int], // selected (vertex, partition), sorted
+      sizes: Array[Long],       // |E_p| at the start of the iteration
+      quota: Array[Long],       // per-cell per-partition allocation cap
+      syncVertex: Array[Long] = Array.emptyLongArray, // phase 1's new
+      syncPart: Array[Int] = Array.emptyIntArray) {   //   memberships, by cell
 
-    /** Phase 1 on a copy of `parent`: the new state, its membership
-      * messages and its per-partition allocation counts.
+    /** Phase 1 on a copy of `parent`: the new state, its new memberships
+      * and its per-partition allocation counts (`delta`).
       */
-    def oneHop(parent: SubGraphState): (SubGraphState, mutable.ArrayBuffer[(Long, Int)], Array[Long]) = {
+    def oneHop(parent: SubGraphState): (SubGraphState, (Array[Long], Array[Int]), Array[Long]) = {
       val st = parent.copy()
       val delta = new Array[Long](sizes.length)
-      val msgs = st.allocateOneHop(selOrder, sizes, delta, quota)
-      (st, msgs, delta)
+      val joined = st.allocateOneHop(selVertex, selPart, sizes, delta, quota)
+      (st, joined, delta)
     }
   }
 
@@ -160,32 +166,22 @@ object DistributedNE {
     }
   }
 
-  /** Phase 1, then the sync fan-out: each new (vertex, part) membership to
-    * the vertex's replica cells (computable from the id — no replica
-    * directory).
-    */
-  private final class SyncMessages(step: Step, grid: Grid2D)
-      extends (Cell => Iterator[(Int, (Long, Int))]) with Serializable {
-    def apply(c: Cell): Iterator[(Int, (Long, Int))] =
-      step.oneHop(c.state)._2.iterator.flatMap { m =>
-        grid.replicaCells(m._1).iterator.map(r => (r, m))
-      }
+  /** Phase 1 on a copy of each cell of one slot: its new memberships, by cell. */
+  private final class OneHopMessages(step: Step)
+      extends ((TaskContext, Iterator[Cell]) => Array[(Array[Long], Array[Int])]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[(Array[Long], Array[Int])] =
+      it.map(c => step.oneHop(c.state)._2).toArray
   }
 
-  /** Phase 1 again, then phases 2–4: sync, two-hop allocation, local
-    * D_rest, samples.
-    */
+  /** Phase 1 again, then phases 2–4: sync, two-hop, local D_rest, samples. */
   private final class NextCells(step: Step, iterSeed: Long)
-      extends ((Iterator[Cell], Iterator[(Int, (Long, Int))]) => Iterator[Cell]) with Serializable {
-    def apply(cellIt: Iterator[Cell], msgIt: Iterator[(Int, (Long, Int))]): Iterator[Cell] = {
-      val msgsOf = msgIt.toArray.groupBy(_._1) // arrival order within a cell
-      cellIt.map { c =>
-        val (st, _, delta) = step.oneHop(c.state)
-        val bp = st.applySync(msgsOf.getOrElse(st.cellId, Array.empty).iterator.map(_._2))
-        st.allocateTwoHop(bp, step.sizes, delta, step.quota)
-        val (dv, dp, d) = st.localDrest(bp)
-        Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed)))
-      }
+      extends (Iterator[Cell] => Iterator[Cell]) with Serializable {
+    def apply(it: Iterator[Cell]): Iterator[Cell] = it.map { c =>
+      val (st, _, delta) = step.oneHop(c.state)
+      val bp = st.applySync(step.syncVertex, step.syncPart)
+      st.allocateTwoHop(bp, step.sizes, delta, step.quota)
+      val (dv, dp, d) = st.localDrest(bp)
+      Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed)))
     }
   }
 
@@ -250,11 +246,12 @@ object DistributedNE {
       val step = exps.select()
       val iterSeed = Hashing.mix64(cfg.seed ^ (iter + 1).toLong)
 
-      // -- phase 1 + membership sync shuffle to the replica cells --
-      val msgs = cells.flatMap(new SyncMessages(step, grid)).partitionBy(cellPart)
+      // -- phase 1: the new memberships of every cell, in cell order --
+      val joined = sc.runJob(cells, new OneHopMessages(step)).flatten
+      val synced = step.copy(syncVertex = joined.flatMap(_._1), syncPart = joined.flatMap(_._2))
 
       // -- phase 1 again, then phases 2–4; the reports gathered by cell --
-      val next = cells.zipPartitions(msgs)(new NextCells(step, iterSeed)).localCheckpoint()
+      val next = cells.mapPartitions(new NextCells(synced, iterSeed)).localCheckpoint()
       val reports = sc.runJob(next, GatherReports).flatten
       ReproShim.release(cells, blocking = false)
       cells = next

@@ -63,7 +63,8 @@ final class ExpansionState(cfg: Config, numEdges: Long, numCells: Int, samples: 
     val quota = Array.tabulate(p) { q =>
       if (done(q)) 0L else math.max(1L, math.ceil((cap - sizes(q)) / numCells).toLong)
     }
-    Step(sel.sortBy(x => (x._1, x._2)).toArray, sizes.clone(), quota)
+    val sorted = sel.sortBy(x => (x._1, x._2))
+    Step(sorted.map(_._1).toArray, sorted.map(_._2).toArray, sizes.clone(), quota)
   }
 
   /** Alg. 4's multi-expansion pop: partition q's k = max(1, ⌈λ·|B_q|⌉)

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.{LocalGraph, PartitionSets}
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
 /** State of one *allocation process* (§3.3/§4 of the paper): the slice of
   * the input graph that 2D-hash placement assigned to this grid cell, plus
@@ -34,13 +34,15 @@ final class SubGraphState private (
   def copy(): SubGraphState =
     new SubGraphState(cellId, graph, alloc.clone(), memberships.copy(), unallocCount.clone())
 
-  private def allocateEdge(e: Int, p: Int, msgs: ArrayBuffer[(Long, Int)]): Unit = {
+  /** Allocates edge `e` to `p`; appends each endpoint new to `p` to `joined`. */
+  private def allocateEdge(e: Int, p: Int,
+                           joined: ArrayBuilder.ofLong, joinedPart: ArrayBuilder.ofInt): Unit = {
     alloc(e) = p
     var side = 0
     while (side < 2) {
       val lx = if (side == 0) graph.lsrc(e) else graph.ldst(e)
       unallocCount(lx) -= 1
-      if (memberships.add(lx, p)) msgs += ((vertexIds(lx), p))
+      if (memberships.add(lx, p)) { joined += vertexIds(lx); joinedPart += p }
       side += 1
     }
   }
@@ -51,7 +53,7 @@ final class SubGraphState private (
     * and deterministically: the less-loaded partition wins, ties to the
     * smaller id — the distributed analogue of the paper's CAS.
     *
-    * @param selOrder selected (vertex, partition) pairs in the driver's
+    * @param selVertex the selected (vertex, `selPart`) pairs in the driver's
     *               sorted order. A vertex selected by several partitions
     *               expands for each of them, but as the far end of an edge
     *               it claims for the first one listed.
@@ -60,13 +62,13 @@ final class SubGraphState private (
     *               (updated in place; used to keep conflict resolution and
     *               two-hop target choice load-aware within the iteration)
     * @param quota  per-partition cap on `delta` for this iteration
-    * @return new vertex→partition membership messages to synchronise
+    * @return the new (vertex, partition) memberships to synchronise
     */
-  def allocateOneHop(selOrder: Array[(Long, Int)],
+  def allocateOneHop(selVertex: Array[Long], selPart: Array[Int],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long]): ArrayBuffer[(Long, Int)] = {
-    val msgs = new ArrayBuffer[(Long, Int)]()
+                     quota: Array[Long]): (Array[Long], Array[Int]) = {
+    val (joined, joinedPart) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofInt)
     // Capacity-aware allocation (Eq. 2's constraint enforced *during* the
     // iteration): the driver hands every cell a per-partition quota of
     // ⌈(cap − |E_p|)/A⌉ edges, so even with all A cells allocating
@@ -78,24 +80,24 @@ final class SubGraphState private (
     // later iteration; termination is unaffected because some partition is
     // always below cap while edges remain.
     def feasible(q: Int): Boolean = delta(q) < quota(q)
-    val local = selOrder.map(x => graph.localId(x._1))
-    val selPart = Array.fill(graph.numVertices)(-1) // first selecting partition
+    val local = selVertex.map(graph.localId)
+    val firstPart = Array.fill(graph.numVertices)(-1) // first selecting partition
     var i = 0
-    while (i < selOrder.length) {
-      if (local(i) >= 0 && selPart(local(i)) < 0) selPart(local(i)) = selOrder(i)._2
+    while (i < selVertex.length) {
+      if (local(i) >= 0 && firstPart(local(i)) < 0) firstPart(local(i)) = selPart(i)
       i += 1
     }
     i = 0
-    while (i < selOrder.length) {
+    while (i < selVertex.length) {
       val lv = local(i)
-      val p = selOrder(i)._2
+      val p = selPart(i)
       if (lv >= 0) {
         var k = adjOff(lv)
         val end = adjOff(lv + 1)
         while (k < end) {
           val e = adjEdge(k)
           if (alloc(e) < 0) {
-            val q = selPart(graph.other(e, lv))
+            val q = firstPart(graph.other(e, lv))
             val winner =
               if (q < 0 || q == p) { if (feasible(p)) p else -1 }
               else (feasible(p), feasible(q)) match {
@@ -108,7 +110,7 @@ final class SubGraphState private (
                   if (loadP < loadQ || (loadP == loadQ && p < q)) p else q
               }
             if (winner >= 0) {
-              allocateEdge(e, winner, msgs)
+              allocateEdge(e, winner, joined, joinedPart)
               delta(winner) += 1
             }
           }
@@ -117,20 +119,20 @@ final class SubGraphState private (
       }
       i += 1
     }
-    msgs
+    (joined.result(), joinedPart.result())
   }
 
-  /** Phase 2 — SyncVertexAllocations: apply the shuffled membership
-    * messages to the local replicas.
-    * @return the locally-present synced pairs (deduplicated), i.e. the
-    *         local view of BP_new to scan for two-hop allocation.
+  /** Phase 2 — SyncVertexAllocations: apply the iteration's new (vertex,
+    * partition) memberships to the local replicas, skipping other vertices.
+    * @return the locally-present synced pairs (deduplicated, in order), i.e.
+    *         the local view of BP_new to scan for two-hop allocation.
     */
-  def applySync(msgs: Iterator[(Long, Int)]): Array[(Int, Int)] = {
+  def applySync(vertex: Array[Long], part: Array[Int]): Array[(Int, Int)] = {
     val seen = new java.util.HashSet[Long]()
     val local = new ArrayBuffer[(Int, Int)]()
-    while (msgs.hasNext) {
-      val (x, p) = msgs.next()
-      val lx = graph.localId(x)
+    for (i <- vertex.indices) {
+      val lx = graph.localId(vertex(i))
+      val p = part(i)
       if (lx >= 0) {
         val key = lx.toLong * 0x100000000L + p
         if (seen.add(key)) {
@@ -151,7 +153,7 @@ final class SubGraphState private (
                      sizes: Array[Long],
                      delta: Array[Long],
                      quota: Array[Long]): Unit = {
-    val ignored = new ArrayBuffer[(Long, Int)]() // two-hop adds no memberships
+    val (ignored, ignoredPart) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofInt)
     var i = 0
     while (i < bpNew.length) {
       val lu = bpNew(i)._1
@@ -164,7 +166,7 @@ final class SubGraphState private (
           val pNew = leastLoadedShared(lu, lw, sizes, delta, quota)
           if (pNew >= 0) {
             val before = ignored.length
-            allocateEdge(e, pNew, ignored)
+            allocateEdge(e, pNew, ignored, ignoredPart)
             // Both endpoints already hold pNew, so no membership can appear.
             assert(ignored.length == before,
               s"two-hop allocation created a membership for edge $e")

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.SparkEnv
+import org.apache.spark.{SparkEnv, StageShim}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.storage.RDDBlockId
@@ -156,6 +156,8 @@ class DistributedNESpec extends SparkSpec {
   test("evicting memory-only cached blocks mid-run leaves the output unchanged") {
     val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
     val (expected, undisturbed) = runOn(edges, 4, lambda = 0.05)
+    // a call runs the initial gather, then two jobs per iteration, so jobs
+    // 30 and 45 land near iterations 15 and 22
     assert(undisturbed.iterations > 45, "the evictions must land mid-run")
     val sc = spark.sparkContext
     // drops the blocks memory pressure would drop: those of cached RDDs
@@ -224,7 +226,7 @@ class DistributedNESpec extends SparkSpec {
     } finally sc.removeSparkListener(counter)
   }
 
-  test("a partition call runs iterations + 1 jobs and assignments.unpersist leaves nothing cached") {
+  test("a partition call runs 2 * iterations + 1 jobs and assignments.unpersist leaves nothing cached") {
     val sc = spark.sparkContext
     val edges = TestGraphs.skewed(200, 1000)
     val input = rddOf(edges)
@@ -249,8 +251,9 @@ class DistributedNESpec extends SparkSpec {
       val deadline = System.nanoTime() + 10000000000L
       while (jobs.asScala.count(_ == "read") < 2 && System.nanoTime() < deadline) Thread.sleep(10)
       assert(jobs.asScala.count(_ == "read") == 2, s"saw jobs ${jobs.asScala.mkString(", ")}")
-      // the initial gather, then one job per iteration; no job to build the output
-      assert(jobs.asScala.count(_ == "call") == res.iterations + 1,
+      // the initial gather, then a phase-1 and a phase-2 job per iteration;
+      // no job to build the output
+      assert(jobs.asScala.count(_ == "call") == 2 * res.iterations + 1,
         s"${jobs.asScala.count(_ == "call")} jobs in ${res.iterations} iterations")
       res.assignments.unpersist(blocking = true)
       val left = sc.getPersistentRDDs.keySet.filterNot(before)
@@ -258,6 +261,41 @@ class DistributedNESpec extends SparkSpec {
     } finally {
       sc.setLocalProperty(phase, null)
       sc.removeSparkListener(counter)
+    }
+  }
+
+  test("a partition call runs one shuffle, the initial build") {
+    // the membership sync ships with the phase-2 stage instead of a shuffle
+    val sc = spark.sparkContext
+    val input = rddOf(TestGraphs.skewed(200, 1000))
+    val phase = "dne.test.phase"
+    val events = new ConcurrentLinkedQueue[String]() // "job <phase>" or "shuffle <phase>"
+    def phaseOf(props: java.util.Properties): String =
+      Option(props).flatMap(p => Option(p.getProperty(phase))).getOrElse("")
+    val watch = new SparkListener {
+      override def onJobStart(s: SparkListenerJobStart): Unit = events.add(s"job ${phaseOf(s.properties)}")
+      override def onStageSubmitted(s: SparkListenerStageSubmitted): Unit =
+        if (StageShim.writesShuffle(s.stageInfo)) events.add(s"shuffle ${phaseOf(s.properties)}")
+    }
+    sc.addSparkListener(watch)
+    try {
+      sc.setLocalProperty(phase, "call")
+      val res = DistributedNE.partition(spark, input, DistributedNE.Config(4))
+      sc.setLocalProperty(phase, "read")
+      res.assignments.collect()
+      sc.setLocalProperty(phase, null)
+      res.assignments.unpersist(blocking = false)
+      // the listener bus is asynchronous and in order: once the read job is
+      // seen, so is every stage of the call
+      val deadline = System.nanoTime() + 10000000000L
+      while (!events.contains("job read") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(events.contains("job read"), s"saw ${events.asScala.mkString(", ")}")
+      assert(res.iterations > 1)
+      val shuffles = events.asScala.count(_ == "shuffle call")
+      assert(shuffles == 1, s"$shuffles shuffle-map stages in ${res.iterations} iterations")
+    } finally {
+      sc.setLocalProperty(phase, null)
+      sc.removeSparkListener(watch)
     }
   }
 
@@ -301,7 +339,7 @@ class DistributedNESpec extends SparkSpec {
     val (named, other) = lines.partition(_.startsWith(passed))
     val lambdaLines = other.distinct
     assert(lambdaLines.isEmpty, "the cleaner worked on lambdas")
-    // a flatMap, a zipPartitions and a runJob per iteration
+    // a runJob, a mapPartitions and a runJob per iteration
     assert(named.length >= 3 * res.iterations, s"saw ${named.length} functions in ${res.iterations} iterations")
     named.map(_.stripPrefix(passed)).distinct.foreach { name =>
       assert(!name.contains("$anonfun$") && !Class.forName(name).isSynthetic, s"$name is a lambda")

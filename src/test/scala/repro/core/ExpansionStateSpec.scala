@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.DistributedNE.{Config, Report}
+import repro.core.DistributedNE.{Config, Report, Step}
 
 class ExpansionStateSpec extends AnyFunSuite {
 
@@ -13,6 +13,9 @@ class ExpansionStateSpec extends AnyFunSuite {
                      samples: Seq[Long] = Nil): Report =
     new Report(delta.toArray, drest.map(_._1).toArray, drest.map(_._2).toArray,
       drest.map(_._3).toArray, samples.toArray)
+
+  /** A step's selection as (vertex, partition) pairs, in order. */
+  private def selected(s: Step): Seq[(Long, Int)] = s.selVertex.toSeq.zip(s.selPart)
 
   /** Expansion processes over `numEdges` edges and 4 cells, with the given
     * boundary reports absorbed; the cap is `alpha · numEdges / p`.
@@ -26,47 +29,47 @@ class ExpansionStateSpec extends AnyFunSuite {
 
   test("insert/pop returns the minimum D_rest first") {
     val e = withBoundary(1, Seq((10L, 0, 5), (11L, 0, 2), (12L, 0, 9)), lambda = 0.1)
-    assert(Seq.fill(3)(e.select().selOrder.head._1) == Seq(11L, 10L, 12L))
+    assert(Seq.fill(3)(e.select().selVertex.head) == Seq(11L, 10L, 12L))
   }
 
   test("ties in D_rest break by vertex id (deterministic pops)") {
     val e = withBoundary(1, Seq((7L, 0, 3), (4L, 0, 3), (9L, 0, 3)), lambda = 0.1)
-    assert(Seq.fill(3)(e.select().selOrder.head._1) == Seq(4L, 7L, 9L))
+    assert(Seq.fill(3)(e.select().selVertex.head) == Seq(4L, 7L, 9L))
   }
 
   test("one report sums the cells' local D_rest into the global D_rest") {
     val e = new ExpansionState(Config(1, lambda = 0.1), 100L, 4, Array.empty)
     e.absorb(Array(report(Seq(0L), Seq((1L, 0, 2), (2L, 0, 3))), report(Seq(0L), Seq((1L, 0, 2)))))
-    assert(e.select().selOrder.toSeq == Seq((2L, 0))) // vertex 1 has global D_rest 4
+    assert(selected(e.select()) == Seq((2L, 0))) // vertex 1 has global D_rest 4
   }
 
   test("popKMin pops ceil(lambda * |B|) vertices") {
     val e = withBoundary(1, (1 to 100).map(i => (i.toLong, 0, 1)), lambda = 0.1, alpha = 2.0, numEdges = 1000L)
-    assert(e.select().selOrder.length == 10)
-    assert(e.select().selOrder.length == 9) // ⌈0.1 · 90⌉
+    assert(e.select().selVertex.length == 10)
+    assert(e.select().selVertex.length == 9) // ⌈0.1 · 90⌉
   }
 
   test("popKMin pops at least one vertex even for tiny lambda") {
     val e = withBoundary(1, Seq((1L, 0, 5), (2L, 0, 5)), lambda = 0.0001)
-    assert(e.select().selOrder.length == 1)
+    assert(e.select().selVertex.length == 1)
   }
 
   test("budget throttle stops popping once D_rest sum reaches the budget") {
     // cap = 1.75 · 20 = 35: pops of 10 each reach 10, 20, 30 < 35, so a
     // 4th is popped, then the throttle stops
     val e = withBoundary(1, (1 to 100).map(i => (i.toLong, 0, 10)), alpha = 1.75, numEdges = 20L)
-    assert(e.select().selOrder.length == 4)
+    assert(e.select().selVertex.length == 4)
   }
 
   test("a partition at or past the cap still pops one vertex until it is done") {
     val e = withBoundary(1, Seq((1L, 0, 50), (2L, 0, 50), (3L, 0, 50)), alpha = 1.5)
     e.absorb(Array(report(Seq(150L)))) // |E_0| = cap = 150: budget max(1, 0)
-    assert(e.select().selOrder.toSeq == Seq((1L, 0)))
+    assert(selected(e.select()) == Seq((1L, 0)))
   }
 
   test("empty boundary pops nothing") {
     val e = withBoundary(2, Seq((3L, 0, 1)))
-    assert(e.select().selOrder.toSeq == Seq((3L, 0)))
+    assert(selected(e.select()) == Seq((3L, 0)))
   }
 
   test("the quota is ceil((cap - |E_p|) / A): at least 1 below the cap, 0 once done") {
@@ -80,7 +83,7 @@ class ExpansionStateSpec extends AnyFunSuite {
     e.absorb(Array(report(Seq(1L, 0L))))
     val third = e.select()
     assert(third.quota.toSeq == Seq(0L, 18L))
-    assert(third.selOrder.forall(_._2 == 1), "a done partition selects nothing")
+    assert(third.selPart.forall(_ == 1), "a done partition selects nothing")
     assert(e.partitionSizes.toSeq == Seq(76L, 5L) && e.remaining == 100L - 81L)
   }
 
@@ -91,27 +94,27 @@ class ExpansionStateSpec extends AnyFunSuite {
     // partition 0 is past the cap, so done: it selects nothing, gets no
     // quota and takes no new boundary vertex
     val step = e.select()
-    assert(step.selOrder.toSeq == Seq((2L, 1), (3L, 1), (5L, 1)) && step.quota(0) == 0L)
+    assert(selected(step) == Seq((2L, 1), (3L, 1), (5L, 1)) && step.quota(0) == 0L)
   }
 
   test("restarts take pool vertices in order and skip the ones already selected") {
     val e = new ExpansionState(Config(3), 100L, 4, Array(7L, 7L, 8L, 9L))
-    assert(e.select().selOrder.toSeq == Seq((7L, 0), (8L, 1), (9L, 2)))
+    assert(selected(e.select()) == Seq((7L, 0), (8L, 1), (9L, 2)))
     e.absorb(Array(report(Seq(0L, 0L, 0L), Seq((5L, 0, 1)), samples = Seq(5L, 6L)),
       report(Seq(0L, 0L, 0L), samples = Seq(6L, 9L))))
     // partition 0 pops 5; 1 and 2 restart from the deduplicated pool 5, 6, 9
-    assert(e.select().selOrder.toSeq == Seq((5L, 0), (6L, 1), (9L, 2)))
+    assert(selected(e.select()) == Seq((5L, 0), (6L, 1), (9L, 2)))
   }
 
   // random-restart (v, p) pairs are marked expanded when select picks them,
   // so their reports are dropped in the restart iteration and later ones
   test("markExpanded blocks later inserts (random-restart vertices)") {
     val e = new ExpansionState(Config(2), 100L, 4, Array(7L))
-    assert(e.select().selOrder.toSeq == Seq((7L, 0)))
+    assert(selected(e.select()) == Seq((7L, 0)))
     e.absorb(Array(report(Seq(1L, 0L), Seq((7L, 0, 2), (8L, 0, 3), (7L, 1, 4)))))
-    assert(e.select().selOrder.toSeq == Seq((7L, 1), (8L, 0))) // (7, 0) was not enqueued
+    assert(selected(e.select()) == Seq((7L, 1), (8L, 0))) // (7, 0) was not enqueued
     e.absorb(Array(report(Seq(1L, 1L), Seq((7L, 0, 1), (9L, 0, 2)))))
-    assert(e.select().selOrder.toSeq == Seq((9L, 0))) // nor in a later iteration
+    assert(selected(e.select()) == Seq((9L, 0))) // nor in a later iteration
   }
 
   test("no expandable vertex fails loudly") {

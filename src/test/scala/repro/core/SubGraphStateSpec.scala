@@ -1,11 +1,24 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
+import repro.graph.{GraphGen, Grid2D}
 
-class SubGraphStateSpec extends AnyFunSuite {
+class SubGraphStateSpec extends SparkSpec {
 
   private val noQuota = Array.fill(4)(Long.MaxValue) // for up to 4 partitions
+
+  /** Phase 1 with the selection as (vertex, partition) pairs; returns the
+    * new memberships as pairs.
+    */
+  private def oneHop(st: SubGraphState, sel: Seq[(Long, Int)], sizes: Array[Long],
+                     delta: Array[Long], quota: Array[Long]): Seq[(Long, Int)] = {
+    val (vs, ps) = st.allocateOneHop(sel.map(_._1).toArray, sel.map(_._2).toArray, sizes, delta, quota)
+    vs.toSeq.zip(ps)
+  }
+
+  /** Phase 2's sync of the given (vertex, partition) memberships. */
+  private def sync(st: SubGraphState, msgs: (Long, Int)*): Array[(Int, Int)] =
+    st.applySync(msgs.map(_._1).toArray, msgs.map(_._2).toArray)
 
   test("build produces a consistent CSR") {
     val st = SubGraphState.build(0, 4, TestGraphs.k4)
@@ -28,9 +41,9 @@ class SubGraphStateSpec extends AnyFunSuite {
 
   test("one-hop allocation takes every unallocated incident edge") {
     val st = SubGraphState.build(0, 4, TestGraphs.star(5))
-    val sel = Array((0L, 2)) // select the hub for partition 2
+    val sel = Seq((0L, 2)) // select the hub for partition 2
     val delta = new Array[Long](4)
-    val msgs = st.allocateOneHop(sel, new Array[Long](4), delta, noQuota)
+    val msgs = oneHop(st, sel, new Array[Long](4), delta, noQuota)
     assert(st.alloc.forall(_ == 2))
     assert(delta(2) == 5)
     // membership messages: hub + all 5 leaves got partition 2
@@ -41,7 +54,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("one-hop allocation skips vertices not present locally") {
     val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val delta = new Array[Long](2)
-    val msgs = st.allocateOneHop(Array((99L, 0)), new Array[Long](2), delta, noQuota)
+    val msgs = oneHop(st, Seq((99L, 0)), new Array[Long](2), delta, noQuota)
     assert(msgs.isEmpty && st.alloc.forall(_ == -1))
   }
 
@@ -50,14 +63,14 @@ class SubGraphStateSpec extends AnyFunSuite {
     val st = SubGraphState.build(0, 4, Array((0L, 1L)))
     val sizes = Array(10L, 3L) // partition 1 is lighter
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 0), (1L, 1)), sizes, delta, noQuota)
+    oneHop(st, Seq((0L, 0), (1L, 1)), sizes, delta, noQuota)
     assert(st.alloc(0) == 1, "lighter partition must win the conflict")
   }
 
   test("conflict ties break to the smaller partition id") {
     val st = SubGraphState.build(0, 4, Array((0L, 1L)))
     val delta = new Array[Long](2)
-    st.allocateOneHop(Array((0L, 1), (1L, 0)), Array(5L, 5L), delta, noQuota)
+    oneHop(st, Seq((0L, 1), (1L, 0)), Array(5L, 5L), delta, noQuota)
     assert(st.alloc(0) == 0)
   }
 
@@ -65,23 +78,58 @@ class SubGraphStateSpec extends AnyFunSuite {
     // vertex 1 is selected by partitions 0 and 1; vertex 0's edge to it is a
     // conflict against partition 0 (load tie, smaller id wins), not 1
     val st = SubGraphState.build(0, 4, Array((0L, 1L)))
-    st.allocateOneHop(Array((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3), noQuota)
+    oneHop(st, Seq((0L, 2), (1L, 0), (1L, 1)), Array(5L, 0L, 5L), new Array[Long](3), noQuota)
     assert(st.alloc(0) == 0)
   }
 
   test("applySync adds memberships only for local vertices and dedupes") {
     val st = SubGraphState.build(0, 4, TestGraphs.k4)
-    val bp = st.applySync(Iterator((0L, 1), (0L, 1), (2L, 3), (42L, 0)))
+    val bp = sync(st, (0L, 1), (0L, 1), (2L, 3), (42L, 0))
     assert(bp.length == 2) // (0,1) deduped; 42 not local
     assert(st.memberships.contains(st.graph.localId(0L), 1))
     assert(st.memberships.contains(st.graph.localId(2L), 3))
+  }
+
+  test("applySync over every cell's memberships equals the sync to the replica cells") {
+    // The paper sends a membership of v only to v's row ∪ column cells;
+    // DistributedNE hands every cell the whole list, in cell order. A cell
+    // skips the vertices it does not hold, and every vertex it holds has it
+    // among its replica cells (Grid2DSpec's KEY INVARIANT), so both agree.
+    val p = 16
+    val grid = Grid2D.forPartitions(p)
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val byCell = edges.groupBy(e => grid.cellOf(e._1, e._2))
+    val cells = (0 until grid.numCells).map(c => SubGraphState.build(c, p, byCell.getOrElse(c, Array.empty)))
+    // every 40th vertex, the first few also selected by a second partition
+    val verts = edges.flatMap(e => Array(e._1, e._2)).distinct.sorted
+    val picked = verts.indices.by(40).map(verts)
+    val sel = (picked.zipWithIndex.map { case (v, i) => (v, i % p) } ++
+      picked.take(5).map(v => (v, 3))).distinct.sorted
+    val free = Array.fill(p)(Long.MaxValue)
+    val joined = cells.map(st => oneHop(st, sel, new Array[Long](p), new Array[Long](p), free))
+    val all = joined.flatten
+    assert(joined.count(_.nonEmpty) > 1, "the list must hold memberships of several cells")
+
+    def memberships(st: SubGraphState) = (0 until st.graph.numVertices).map(st.memberships.toArray(_).toSeq)
+    val synced = cells.map { st =>
+      val mine = all.filter(m => grid.replicaCells(m._1).contains(st.cellId))
+      assert(mine.length < all.length, s"cell ${st.cellId}: the replica filter must drop something")
+      val (whole, routed) = (st.copy(), st.copy())
+      val bpWhole = sync(whole, all: _*).toSeq
+      val samePairs = bpWhole == sync(routed, mine: _*).toSeq
+      assert(samePairs, s"cell ${st.cellId}: synced pairs differ")
+      val sameMemberships = memberships(whole) == memberships(routed)
+      assert(sameMemberships, s"cell ${st.cellId}: memberships differ")
+      bpWhole.length
+    }
+    assert(synced.sum > all.length, "memberships must reach more cells than the ones that made them")
   }
 
   test("two-hop allocation takes exactly the edges whose endpoints share a partition") {
     // path 0-1-2-3; give 1 and 2 membership of partition 0; edge (1,2)
     // qualifies, edges (0,1) and (2,3) do not.
     val st = SubGraphState.build(0, 4, TestGraphs.path(3))
-    val bp = st.applySync(Iterator((1L, 0), (2L, 0)))
+    val bp = sync(st, (1L, 0), (2L, 0))
     val delta = new Array[Long](1)
     st.allocateTwoHop(bp, Array(0L), delta, noQuota)
     val g = st.graph
@@ -93,7 +141,7 @@ class SubGraphStateSpec extends AnyFunSuite {
 
   test("two-hop allocation picks the least-loaded shared partition") {
     val st = SubGraphState.build(0, 4, Array((1L, 2L)))
-    val bp = st.applySync(Iterator((1L, 0), (1L, 1), (2L, 0), (2L, 1)))
+    val bp = sync(st, (1L, 0), (1L, 1), (2L, 0), (2L, 1))
     val delta = new Array[Long](2)
     st.allocateTwoHop(bp, Array(9L, 2L), delta, noQuota)
     assert(st.alloc(0) == 1)
@@ -105,7 +153,7 @@ class SubGraphStateSpec extends AnyFunSuite {
     // vertex 1 holds 0, 63, 64 and 129; vertex 2 holds 63, 64 and 129
     def synced(): SubGraphState = {
       val st = SubGraphState.build(0, p, Array((1L, 2L)))
-      st.applySync(Iterator((1L, 0), (1L, 63), (1L, 64), (1L, 129), (2L, 63), (2L, 64), (2L, 129)))
+      sync(st, (1L, 0), (1L, 63), (1L, 64), (1L, 129), (2L, 63), (2L, 64), (2L, 129))
       st
     }
     val st = synced()
@@ -132,11 +180,11 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("the quota holds back one-hop and two-hop edges past quota(q)") {
     val hub = SubGraphState.build(0, 4, TestGraphs.star(5))
     val d1 = new Array[Long](1)
-    hub.allocateOneHop(Array((0L, 0)), Array(0L), d1, Array(2L))
+    oneHop(hub, Seq((0L, 0)), Array(0L), d1, Array(2L))
     assert(d1(0) == 2 && hub.alloc.count(_ == 0) == 2 && hub.alloc.count(_ < 0) == 3)
 
     val k4 = SubGraphState.build(0, 4, TestGraphs.k4)
-    val bp = k4.applySync((0L to 3L).iterator.map(x => (x, 0)))
+    val bp = sync(k4, (0L to 3L).map(x => (x, 0)): _*)
     val d2 = new Array[Long](1)
     k4.allocateTwoHop(bp, Array(0L), d2, Array(1L))
     assert(d2(0) == 1 && k4.alloc.count(_ == 0) == 1 && k4.alloc.count(_ < 0) == 5)
@@ -145,8 +193,8 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("localDrest reports remaining degree and drops zeros") {
     val st = SubGraphState.build(0, 4, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota) // takes (0,1)
-    val bp = st.applySync(Iterator((0L, 0), (1L, 0)))
+    oneHop(st, Seq((0L, 0)), Array(0L), delta, noQuota) // takes (0,1)
+    val bp = sync(st, (0L, 0), (1L, 0))
     val (vs, ps, ds) = st.localDrest(bp)
     // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
     assert(vs.toSeq == Seq(1L) && ps.toSeq == Seq(0) && ds.toSeq == Seq(1))
@@ -155,21 +203,22 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("copy isolates the mutable state") {
     // a state that already holds allocations and memberships
     val st = SubGraphState.build(0, 4, TestGraphs.path(6)) // 0-1-…-6
-    st.allocateOneHop(Array((0L, 0)), Array(0L, 0L), new Array[Long](2), noQuota)
-    st.applySync(Iterator((3L, 1), (4L, 1)))
+    oneHop(st, Seq((0L, 0)), Array(0L, 0L), new Array[Long](2), noQuota)
+    sync(st, (3L, 1), (4L, 1))
     def snapshot(s: SubGraphState) =
       (s.alloc.toSeq, s.unallocCount.toSeq,
         (0 until s.graph.numVertices).map(s.memberships.toArray(_).toSeq))
     val before = snapshot(st)
-    // phase 1 runs once per stage, each time on its own copy of the parent
-    def oneHop() = {
+    // phase 1 runs once per job of an iteration, each time on its own copy
+    // of the parent
+    def phase1() = {
       val cp = st.copy()
       val delta = new Array[Long](2)
-      val msgs = cp.allocateOneHop(Array((2L, 0), (3L, 1)), Array(0L, 0L), delta, noQuota)
+      val msgs = oneHop(cp, Seq((2L, 0), (3L, 1)), Array(0L, 0L), delta, noQuota)
       (msgs.toSeq, delta.toSeq, snapshot(cp))
     }
-    val a = oneHop()
-    val b = oneHop()
+    val a = phase1()
+    val b = phase1()
     assert(a == b, "phase 1 on two copies must agree")
     assert(a._1.nonEmpty && a._2.sum == 3)
     assert(snapshot(st) == before, "original must be untouched")
@@ -178,7 +227,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("sampleUnallocated only returns vertices with remaining edges") {
     val st = SubGraphState.build(0, 4, TestGraphs.star(4))
     val delta = new Array[Long](1)
-    st.allocateOneHop(Array((0L, 0)), Array(0L), delta, noQuota)
+    oneHop(st, Seq((0L, 0)), Array(0L), delta, noQuota)
     assert(st.sampleUnallocated(10, 1L).isEmpty)
   }
 
@@ -197,7 +246,7 @@ class SubGraphStateSpec extends AnyFunSuite {
   test("assignments emit every edge once after full allocation") {
     val st = SubGraphState.build(0, 4, TestGraphs.k4)
     val delta = new Array[Long](1)
-    st.allocateOneHop((0L to 3L).map(x => (x, 0)).toArray, Array(0L), delta, noQuota)
+    oneHop(st, (0L to 3L).map(x => (x, 0)), Array(0L), delta, noQuota)
     val as = st.assignments.toArray
     assert(as.length == 6 && as.forall(_._3 == 0))
   }

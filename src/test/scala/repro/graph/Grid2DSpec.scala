@@ -42,8 +42,11 @@ class Grid2DSpec extends AnyFunSuite {
   }
 
   test("KEY INVARIANT: every edge's cell is a replica cell of both endpoints") {
-    // This is what makes the shuffle-to-replicas sync correct: any edge
-    // (u,v) lives in a cell that is in replicaCells(u) ∩ replicaCells(v).
+    // Any edge (u,v) lives in a cell that is in replicaCells(u) ∩
+    // replicaCells(v), so every cell that holds a vertex is one of its
+    // replica cells. This is why DistributedNE's sync, which hands every
+    // cell the whole membership list and lets it skip the vertices it does
+    // not hold, delivers each cell exactly its row ∪ column messages.
     for (p <- Seq(4, 8, 16, 64)) {
       val g = Grid2D.forPartitions(p)
       var u = 0L
