@@ -24,15 +24,9 @@ object HybridGinger {
     // bundle owner of every vertex; only low-degree owners get refined
     val owner = Array.tabulate(g.numVertices)(lx => Hashing.bucket(ids(lx), p, 0x916E5L))
 
-    /** The endpoint whose bundle holds edge (lu, lw): the lower degree,
-      * ties to the smaller global id.
-      */
-    def pivot(lu: Int, lw: Int): Int =
-      if (g.degree(lu) < g.degree(lw) || (g.degree(lu) == g.degree(lw) && ids(lu) < ids(lw))) lu else lw
-
     /** Edge placement under the current owners (the hybrid-cut rule). */
     def placeEdge(e: Int): Int = {
-      val lo = pivot(g.lsrc(e), g.ldst(e))
+      val lo = HashPartitioners.lowDegreeEnd(g, g.lsrc(e), g.ldst(e))
       if (isLow(lo)) owner(lo) else owner(g.other(e, lo))
     }
 
@@ -51,7 +45,7 @@ object HybridGinger {
       lowVerts.foreach { v =>
         val neighbors = Array.tabulate(g.degree(v))(i => g.other(g.adjEdge(g.adjOff(v) + i), v))
         // size of v's movable bundle: edges where v is the low pivot
-        val bundle = neighbors.count(u => pivot(v, u) == v)
+        val bundle = neighbors.count(u => HashPartitioners.lowDegreeEnd(g, v, u) == v)
         val score = new Array[Double](p)
         neighbors.foreach { u => score(owner(u)) += 1.0 }
         var best = owner(v); var bestScore = Double.NegativeInfinity

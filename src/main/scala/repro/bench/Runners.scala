@@ -18,25 +18,15 @@ object Runners {
 
   private type Edges = Array[(Long, Long)]
 
-  /** Spark-side methods, named as in the paper's tables: they consume the
-    * edge RDD and return (u, v, part) triples — the distributed systems of
-    * the paper.
+  /** The comparators, named as in the paper's tables: each consumes the
+    * sorted edge array and returns one part per edge.
     */
-  private val sparkSide: Seq[(String, (SparkSession, RDD[(Long, Long)], Int) => RDD[(Long, Long, Int)])] =
+  private val comparators: Seq[(String, (Edges, Int) => Array[Int])] =
     Seq(
-      ("Rand.", (_, rdd, p) => HashPartitioners.random1D(rdd, p)),
-      ("2D-R.", (_, rdd, p) => HashPartitioners.grid(rdd, p)),
-      ("DBH", (_, rdd, p) => HashPartitioners.dbh(rdd, p)),
-      ("Obli.", (_, rdd, p) => Oblivious.partition(rdd, p)),
-      ("D.NE", (spark, rdd, p) =>
-        DistributedNE.partition(spark, rdd, DistributedNE.Config(p)).assignments),
-    )
-
-  /** Driver-side methods: they consume the sorted edge array and return one
-    * part per edge — the sequential/external comparators of the paper.
-    */
-  private val driverSide: Seq[(String, (Edges, Int) => Array[Int])] =
-    Seq(
+      ("Rand.", HashPartitioners.random1D(_, _)),
+      ("2D-R.", HashPartitioners.grid(_, _)),
+      ("DBH", HashPartitioners.dbh(_, _)),
+      ("Obli.", Oblivious.partition(_, _)),
       ("H.G.", HybridGinger.partition(_, _)),
       ("HDRF", HDRF.partition(_, _)),
       ("NE", (edges, p) => SequentialNE.partition(edges, SequentialNE.Config(p))),
@@ -51,8 +41,8 @@ object Runners {
       ("Spinner", vertexCut(LabelPropagation.spinner(_, _))),
     )
 
-  /** Every partitioner [[run]] accepts. */
-  val methods: Seq[String] = (sparkSide ++ driverSide).map(_._1)
+  /** Every partitioner [[run]] accepts: D.NE and the comparators. */
+  val methods: Seq[String] = "D.NE" +: comparators.map(_._1)
 
   /** A vertex partitioner evaluated as an edge partitioner (each edge goes
     * to one endpoint's partition, see [[VertexCutConversion]]).
@@ -63,7 +53,7 @@ object Runners {
   /** Collects an RDD assignment into aligned (edges, parts) arrays sorted by
     * edge, and unpersists the RDD.
     */
-  def collectAssign(rdd: RDD[(Long, Long, Int)]): (Array[(Long, Long)], Array[Int]) = {
+  private def collectAssign(rdd: RDD[(Long, Long, Int)]): (Array[(Long, Long)], Array[Int]) = {
     val triples = rdd.collect()
     rdd.unpersist(blocking = false)
     scala.util.Sorting.quickSort(triples)(Ordering.by[(Long, Long, Int), (Long, Long)](t => (t._1, t._2)))
@@ -87,19 +77,22 @@ object Runners {
   }
 
   /** Runs the partitioner named `method` (one of [[methods]]) into `p`
-    * parts. Spark-side methods partition `rdd` and are timed up to their
-    * collected assignment; driver-side methods partition `edges`, which
-    * must hold the same edges in sorted order.
+    * parts. D.NE partitions `rdd` and is timed up to its collected
+    * assignment; the comparators partition `edges`, which must hold the same
+    * edges in sorted order.
     */
   def run(method: String, spark: SparkSession, rdd: RDD[(Long, Long)],
           edges: Array[(Long, Long)], p: Int): RunResult =
-    sparkSide.find(_._1 == method).map { case (_, f) =>
-      val ((es, as), s) = timed(collectAssign(f(spark, rdd, p)))
+    if (method == "D.NE") {
+      val ((es, as), s) = timed(collectAssign(
+        DistributedNE.partition(spark, rdd, DistributedNE.Config(p)).assignments))
       metricsOf(method, es, as, s)
-    }.orElse(driverSide.find(_._1 == method).map { case (_, f) =>
+    } else {
+      val f = comparators.collectFirst { case (`method`, f) => f }
+        .getOrElse(throw new IllegalArgumentException(s"unknown partitioner: $method"))
       val (as, s) = timed(f(edges, p))
       metricsOf(method, edges, as, s)
-    }).getOrElse(throw new IllegalArgumentException(s"unknown partitioner: $method"))
+    }
 
   /** Generates `spec`'s graph once and runs each of `methods` on it into `p`
     * parts, in order.

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
+import repro.baselines.HashPartitioners
 import repro.core.DistributedNE
 import repro.graph.{GraphGen, LocalMetrics}
 import repro.theory.{Bounds, Zeta}
@@ -36,16 +37,16 @@ object Table1 {
       val n = 1L << 15
       val m = (n * Zeta.meanDegree(a) / 2.0).toLong
       val edges = GraphGen.powerLaw(spark, n, m, a, seed = 101).cache()
-      edges.count()
-      def rfOf(assign: org.apache.spark.rdd.RDD[(Long, Long, Int)]): Double =
-        LocalMetrics.replicationFactor(assign.collect())
-      val rand = rfOf(repro.baselines.HashPartitioners.random1D(edges, P))
-      val grid = rfOf(repro.baselines.HashPartitioners.grid(edges, P))
-      val dbh = rfOf(repro.baselines.HashPartitioners.dbh(edges, P))
+      val es = edges.collect()
+      def rfOf(assign: Array[Int]): Double =
+        LocalMetrics.replicationFactor(es.indices.map(i => (es(i)._1, es(i)._2, assign(i))).toArray)
+      val rand = rfOf(HashPartitioners.random1D(es, P))
+      val grid = rfOf(HashPartitioners.grid(es, P))
+      val dbh = rfOf(HashPartitioners.dbh(es, P))
       val dne = {
-        val r = DistributedNE.partition(spark, edges, DistributedNE.Config(P, seed = 5))
-        val v = rfOf(r.assignments)
-        r.assignments.unpersist(blocking = false)
+        val assignments = DistributedNE.partition(spark, edges, DistributedNE.Config(P, seed = 5)).assignments
+        val v = LocalMetrics.replicationFactor(assignments.collect())
+        assignments.unpersist(blocking = false)
         v
       }
       edges.unpersist(blocking = false)

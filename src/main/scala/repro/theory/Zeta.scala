@@ -23,12 +23,6 @@ object Zeta {
     })
   }
 
-  /** Normalized power-law pmf Pr[d] = d^-α / ζ(α), d ≥ 1 (paper Eq. 6 with
-    * d_min = 1, where the Hurwitz zeta reduces to the Riemann zeta).
-    */
-  def powerLawPmf(alpha: Double, d: Int): Double =
-    math.pow(d, -alpha) / zeta(alpha)
-
   /** Mean degree ζ(α−1)/ζ(α) of the power-law distribution. */
   def meanDegree(alpha: Double): Double = zeta(alpha - 1.0) / zeta(alpha)
 }

@@ -1,15 +1,15 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.LocalMetrics
 
 /** Covers the streaming/greedy baselines: Oblivious, HDRF, SNE, and
   * Hybrid Ginger.
   */
-class StreamingPartitionersSpec extends SparkSpec {
+class StreamingPartitionersSpec extends AnyFunSuite {
 
   private val edges = TestGraphs.skewed(500, 4000)
-  private def rdd = spark.sparkContext.parallelize(edges.toSeq, 4)
   private def rfOf(assign: Array[Int]): Double =
     LocalMetrics.replicationFactor(TestGraphs.triples(edges, assign))
   private val rfRandom = rfOf(TestGraphs.randomAssign(edges, 8))
@@ -17,26 +17,33 @@ class StreamingPartitionersSpec extends SparkSpec {
   // ---- Oblivious ----
 
   test("oblivious covers every edge exactly once, in range") {
-    val t = Oblivious.partition(rdd, 8).collect()
+    val t = TestGraphs.triples(edges, Oblivious.partition(edges, 8))
     assert(t.length == edges.length)
     assert(t.map(x => (x._1, x._2)).sorted.toSeq == edges.sorted.toSeq)
     t.foreach(x => assert(x._3 >= 0 && x._3 < 8))
   }
 
   test("oblivious is deterministic") {
-    val a = Oblivious.partition(rdd, 8).collect().sortBy(t => (t._1, t._2)).toSeq
-    val b = Oblivious.partition(rdd, 8).collect().sortBy(t => (t._1, t._2)).toSeq
+    val a = Oblivious.partition(edges, 8).toSeq
+    val b = Oblivious.partition(edges, 8).toSeq
     assert(a == b)
   }
 
+  test("oblivious ignores input order") {
+    // the streams are runs of the sorted edges, whatever order they came in
+    val shuffled = new scala.util.Random(13).shuffle(edges.toSeq).toArray
+    assert(shuffled.toSeq != edges.toSeq)
+    val partOf = edges.zip(Oblivious.partition(edges, 8)).toMap
+    assert(shuffled.zip(Oblivious.partition(shuffled, 8)).toMap == partOf)
+  }
+
   test("oblivious beats plain random hashing on RF") {
-    val t = Oblivious.partition(rdd, 8).collect().sortBy(x => (x._1, x._2))
-    val rf = LocalMetrics.replicationFactor(t)
+    val rf = rfOf(Oblivious.partition(edges, 8))
     assert(rf < rfRandom, s"oblivious RF $rf vs random $rfRandom")
   }
 
   test("oblivious load stays balanced within a stream's greedy tolerance") {
-    val t = Oblivious.partition(rdd, 8).collect().sortBy(x => (x._1, x._2))
+    val t = TestGraphs.triples(edges, Oblivious.partition(edges, 8))
     assert(LocalMetrics.edgeBalance(t) < 1.6)
   }
 

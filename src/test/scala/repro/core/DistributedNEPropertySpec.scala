@@ -81,6 +81,28 @@ class DistributedNEPropertySpec extends SparkSpec {
     assert(eb <= 1.1 + p.toDouble * p / edges.length, s"EB $eb")
   }
 
+  test("vertex ids at the Long limits: exactly once, Theorem 1, EB") {
+    val base = TestGraphs.skewed(300, 1500, seed = 9)
+    val verts = base.flatMap { case (u, v) => Seq(u, v) }.distinct.sorted
+    // the extremes first (to the hottest vertices), then ids counting
+    // inwards from both limits
+    val extremes = Iterator(Long.MinValue, Long.MinValue + 1, -1L, 0L, Long.MaxValue - 1, Long.MaxValue)
+    val inward = Iterator.from(2).flatMap(i => Iterator(Long.MinValue + i, Long.MaxValue - i))
+    val relabel = verts.iterator.zip(extremes ++ inward).toMap
+    val edges = base.map { case (u, v) => (relabel(u), relabel(v)) }
+    for (p <- Seq(4, 16)) {
+      val (t, res) = run(edges, p, seed = 42)
+      assert(t.length == edges.length && t.map(x => (x._1, x._2)).toSet == edges.toSet,
+        s"P = $p: every edge must be allocated exactly once")
+      t.foreach(x => assert(x._3 >= 0 && x._3 < p, s"P = $p: partition out of range: $x"))
+      val rf = LocalMetrics.replicationFactor(t)
+      val ub = Bounds.theorem1(edges.length, LocalMetrics.numVertices(edges), p)
+      assert(rf <= ub + 1e-9, s"P = $p: RF $rf above bound $ub")
+      val eb = res.partitionSizes.max / (edges.length.toDouble / p)
+      assert(eb <= 1.1 + p.toDouble * p / edges.length, s"P = $p: EB $eb")
+    }
+  }
+
   test("random skewed graphs: exactly once, Theorem 1 and EB <= alpha + A*P/|E| (ScalaCheck)") {
     val runs = for {
       nV <- Gen.chooseNum(20, 150)

@@ -2,7 +2,6 @@ package repro.graph
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.apps.GasEngine
-import repro.baselines.HashPartitioners
 
 /** The program's partition metrics and per-partition counts, checked on
   * small graphs by hand and against DuckDB SQL over the same assignment.
@@ -91,8 +90,9 @@ class MetricsSpec extends SparkSpec {
   test("ORACLE: degree table matches DuckDB") {
     import spark.implicits._
     val edges = TestGraphs.skewed(80, 250, seed = 5)
-    val degrees = HashPartitioners.degrees(spark.sparkContext.parallelize(edges.toSeq, 4)).collect()
-    Oracle.assertEquivalent(degrees.toSeq.toDF("x", "degree"),
+    val g = LocalGraph.build(edges)
+    val degrees = (0 until g.numVertices).map(lv => (g.vertexIds(lv), g.degree(lv)))
+    Oracle.assertEquivalent(degrees.toDF("x", "degree"),
       """SELECT x, COUNT(*) AS degree FROM (
         |  SELECT u AS x FROM edges UNION ALL SELECT v AS x FROM edges
         |) GROUP BY x""".stripMargin,

@@ -19,11 +19,6 @@ class BoundsSpec extends AnyFunSuite {
     assert(Zeta.zeta(1.5) > Zeta.zeta(2.5))
   }
 
-  test("powerLawPmf sums to ~1") {
-    val s = (1 to 200000).map(Zeta.powerLawPmf(2.5, _)).sum
-    assert(math.abs(s - 1.0) < 1e-3)
-  }
-
   test("mean degree decreases with alpha") {
     assert(Zeta.meanDegree(2.2) > Zeta.meanDegree(2.4))
     assert(Zeta.meanDegree(2.4) > Zeta.meanDegree(2.8))
