@@ -12,9 +12,14 @@ import repro.graph.LocalMetrics
   */
 object Runners {
 
+  /** One method's partitioning and its quality; `times` holds the wall
+    * time of each call that produced it, and `seconds` is their median.
+    */
   final case class RunResult(method: String, rf: Double, eb: Double, vb: Double,
-                             seconds: Double, edges: Array[(Long, Long)],
-                             assign: Array[Int])
+                             times: Seq[Double], edges: Array[(Long, Long)],
+                             assign: Array[Int]) {
+    def seconds: Double = times.sorted.apply(times.length / 2)
+  }
 
   private type Edges = Array[(Long, Long)]
 
@@ -67,7 +72,7 @@ object Runners {
       LocalMetrics.replicationFactor(triples),
       LocalMetrics.edgeBalance(triples),
       LocalMetrics.vertexBalance(triples),
-      seconds, edges, assign)
+      Seq(seconds), edges, assign)
   }
 
   private def timed[A](body: => A): (A, Double) = {
@@ -95,14 +100,19 @@ object Runners {
     }
 
   /** Generates `spec`'s graph once and runs each of `methods` on it into `p`
-    * parts, in order.
+    * parts, in order, `calls` times in a row each. Every call must give the
+    * same assignment; the result holds each call's time.
     */
   def runAll(spark: SparkSession, spec: Datasets.GraphSpec, methods: Seq[String],
-             p: Int): Seq[RunResult] = {
+             p: Int, calls: Int = 1): Seq[RunResult] = {
     val rdd = spec.edges(spark).cache()
     val edges = rdd.collect()
     scala.util.Sorting.quickSort(edges)(Ordering.Tuple2[Long, Long])
-    val results = methods.map(run(_, spark, rdd, edges, p))
+    val results = methods.map { m =>
+      val rs = Seq.fill(calls)(run(m, spark, rdd, edges, p))
+      rs.foreach(r => require(r.assign.sameElements(rs.head.assign), s"$m: calls on ${spec.name} differ"))
+      rs.head.copy(times = rs.flatMap(_.times))
+    }
     rdd.unpersist(blocking = false)
     results
   }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.{Partition, Partitioner, ReproShim, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.util.AccumulatorV2
 
 import repro.graph.{Grid2D, Hashing}
 
@@ -10,7 +11,8 @@ import repro.graph.{Grid2D, Hashing}
   * Spark RDD dataflow.
   *
   * Roles (see DESIGN.md §2):
-  *  - allocation processes  = the `A = |P|` grid cells of an `RDD[Cell]`,
+  *  - allocation processes  = the `A = |P|` grid cells of an
+  *    `RDD[SubGraphState]`,
   *    2D-hash initial distribution. The cells are packed, in cell order,
   *    into `S = min(A, defaultParallelism)` Spark partitions ("slots", see
   *    [[CellSlots]]), so an iteration runs 2·S tasks and no shuffle; the
@@ -23,9 +25,10 @@ import repro.graph.{Grid2D, Hashing}
   *         copy of each cell; the driver gathers the new vertex→partition
   *         memberships, in cell order, into the [[Step]];
   *      2. phase 1 again, membership sync + two-hop allocation + local-D_rest
-  *         reports (phases 2–4); the new cells are cached and their small
-  *         reports are gathered and reduced on the driver (the global
-  *         D_rest gather).
+  *         reports (phases 2–4); the new cells are cached, and their small
+  *         [[Report]]s ride back to the driver with the task results (an
+  *         accumulator keyed by cell, [[CellReports]]) and are reduced
+  *         there in cell order (the global D_rest gather).
   *
   * The paper sends each membership to its vertex's row ∪ column of the grid
   * ([[Grid2D.replicaCells]]). Here every cell gets the whole list with the
@@ -49,10 +52,10 @@ import repro.graph.{Grid2D, Hashing}
   * An iteration is kept cheap to submit and to cache. Every function handed
   * to Spark is a named class, not a lambda, and the gathers go through
   * `sc.runJob`, so Spark's closure cleaner parses no bytecode (see the note
-  * above [[KeyByCell]]). A cached cell holds only primitive arrays (flat
-  * reports, a bitset of memberships, a primitive id index in the
-  * `LocalGraph`), so the size estimate Spark makes on each cache write
-  * visits a fixed number of objects.
+  * above [[KeyByCell]]). A cached cell is its state alone, which holds
+  * only primitive arrays (a bitset of memberships, a primitive id index in
+  * the `LocalGraph`), so the size estimate Spark makes on each cache write
+  * visits a fixed number of objects; its report is not cached.
   */
 object DistributedNE {
 
@@ -76,7 +79,17 @@ object DistributedNE {
       assignments: RDD[(Long, Long, Int)],
       numEdges: Long,
       iterations: Int,
-      partitionSizes: Array[Long])
+      partitionSizes: Array[Long],
+      trace: IndexedSeq[IterationStats])
+
+  /** What the driver counted in one iteration: the vertices it selected,
+    * how many of them were random restarts, the heap entries it skipped
+    * (stale D_rest, or the vertex left the boundary), the pops it gave back
+    * because a lower-id partition had taken the vertex, and the edges the
+    * cells allocated.
+    */
+  final case class IterationStats(selected: Int, restarts: Int, skipped: Int, givenUp: Int,
+                                  allocated: Long)
 
   /** Routes cell ids to `numPartitions` slots: slot `s` holds the
     * contiguous cell range `[⌈s·A/S⌉, ⌈(s+1)·A/S⌉)`, so cell `c` goes to
@@ -101,16 +114,27 @@ object DistributedNE {
   /** What a cell tells the driver about the iteration that produced it. */
   private[core] final class Report(
       val delta: Array[Long],        // phase-1 + two-hop allocations per partition
-      val drestVertex: Array[Long],  // local D_rest reports, as parallel arrays
-      val drestPart: Array[Int],     //   of (vertex, partition, local D_rest)
-      val drest: Array[Int],
+      val drestVertex: Array[Long],  // local D_rest of the synced vertices,
+      val drest: Array[Int],         //   as parallel arrays
+      val dropVertex: Array[Long],   // how far each vertex's local D_rest
+      val drop: Array[Int],          //   fell in this iteration
       val samples: Array[Long]) extends Serializable
 
-  /** One allocation process: its state and its report. Every field below
-    * them is a primitive array, so the size walk Spark makes each time it
-    * caches a cell visits a fixed number of objects, whatever the cell holds.
+  /** The reports of one phase-2 job, in cell order. Each phase-2 task adds
+    * its cells' reports; they ride back with the task result, and the
+    * driver merges each successful task's once. Keyed by cell, so a task
+    * run twice adds nothing new.
     */
-  private final case class Cell(state: SubGraphState, report: Report)
+  private final class CellReports extends AccumulatorV2[(Int, Report), Array[Report]] {
+    private val byCell = new java.util.TreeMap[Int, Report]()
+    def isZero: Boolean = byCell.isEmpty
+    def copy(): CellReports = { val c = new CellReports; c.byCell.putAll(byCell); c }
+    def reset(): Unit = byCell.clear()
+    def add(r: (Int, Report)): Unit = byCell.put(r._1, r._2)
+    def merge(other: AccumulatorV2[(Int, Report), Array[Report]]): Unit =
+      byCell.putAll(other.asInstanceOf[CellReports].byCell)
+    def value: Array[Report] = byCell.values.toArray(new Array[Report](0))
+  }
 
   /** The driver's selection for one iteration and, for phase 2, phase 1's
     * new memberships, shipped with the stage's functions (Spark broadcasts
@@ -123,14 +147,16 @@ object DistributedNE {
       syncVertex: Array[Long] = Array.emptyLongArray, // phase 1's new
       syncPart: Array[Int] = Array.emptyIntArray) {   //   memberships, by cell
 
-    /** Phase 1 on a copy of `parent`: the new state, its new memberships
-      * and its per-partition allocation counts (`delta`).
+    /** Phase 1 on a copy of `parent`: the new state, its log (new
+      * memberships, allocated edge ends) and its per-partition allocation
+      * counts (`delta`).
       */
-    def oneHop(parent: SubGraphState): (SubGraphState, (Array[Long], Array[Int]), Array[Long]) = {
+    def oneHop(parent: SubGraphState): (SubGraphState, SubGraphState.Log, Array[Long]) = {
       val st = parent.copy()
       val delta = new Array[Long](sizes.length)
-      val joined = st.allocateOneHop(selVertex, selPart, sizes, delta, quota)
-      (st, joined, delta)
+      val log = new SubGraphState.Log
+      st.allocateOneHop(selVertex, selPart, sizes, delta, quota, log)
+      (st, log, delta)
     }
   }
 
@@ -153,55 +179,59 @@ object DistributedNE {
   }
 
   /** The initial cells of one slot: a CSR and an empty state per cell. */
-  private final class BuildCells(slots: CellSlots, numPartitions: Int, seed: Long)
-      extends ((Int, Iterator[(Int, (Long, Long))]) => Iterator[Cell]) with Serializable {
-    def apply(slot: Int, it: Iterator[(Int, (Long, Long))]): Iterator[Cell] = {
+  private final class BuildCells(slots: CellSlots, numPartitions: Int)
+      extends ((Int, Iterator[(Int, (Long, Long))]) => Iterator[SubGraphState]) with Serializable {
+    def apply(slot: Int, it: Iterator[(Int, (Long, Long))]): Iterator[SubGraphState] = {
       val byCell = it.toArray.groupBy(_._1) // arrival order within a cell
       slots.cellsOf(slot).iterator.map { cell =>
-        val st = SubGraphState.build(cell, numPartitions, byCell.getOrElse(cell, Array.empty).map(_._2))
-        val samples = st.sampleUnallocated(SamplesPerCell, seed)
-        Cell(st, new Report(Array.emptyLongArray, Array.emptyLongArray, Array.emptyIntArray,
-          Array.emptyIntArray, samples))
+        SubGraphState.build(cell, numPartitions, byCell.getOrElse(cell, Array.empty).map(_._2))
       }
     }
   }
 
   /** Phase 1 on a copy of each cell of one slot: its new memberships, by cell. */
   private final class OneHopMessages(step: Step)
-      extends ((TaskContext, Iterator[Cell]) => Array[(Array[Long], Array[Int])]) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[(Array[Long], Array[Int])] =
-      it.map(c => step.oneHop(c.state)._2).toArray
+      extends ((TaskContext, Iterator[SubGraphState]) => Array[(Array[Long], Array[Int])]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[SubGraphState]): Array[(Array[Long], Array[Int])] =
+      it.map { st =>
+        val log = step.oneHop(st)._2
+        (log.joined.result(), log.joinedPart.result())
+      }.toArray
   }
 
-  /** Phase 1 again, then phases 2–4: sync, two-hop, local D_rest, samples. */
-  private final class NextCells(step: Step, iterSeed: Long)
-      extends (Iterator[Cell] => Iterator[Cell]) with Serializable {
-    def apply(it: Iterator[Cell]): Iterator[Cell] = it.map { c =>
-      val (st, _, delta) = step.oneHop(c.state)
+  /** Phase 1 again, then phases 2–4: sync, two-hop, local D_rest, samples;
+    * each cell's report goes to `reports`.
+    */
+  private final class NextCells(step: Step, iterSeed: Long, reports: CellReports)
+      extends (Iterator[SubGraphState] => Iterator[SubGraphState]) with Serializable {
+    def apply(it: Iterator[SubGraphState]): Iterator[SubGraphState] = it.map { parent =>
+      val (st, log, delta) = step.oneHop(parent)
       val bp = st.applySync(step.syncVertex, step.syncPart)
-      st.allocateTwoHop(bp, step.sizes, delta, step.quota)
-      val (dv, dp, d) = st.localDrest(bp)
-      Cell(st, new Report(delta, dv, dp, d, st.sampleUnallocated(SamplesPerCell, iterSeed)))
+      st.allocateTwoHop(bp, step.sizes, delta, step.quota, log)
+      val (dv, d) = st.localDrest(bp)
+      val (xv, x) = st.drestDrops(log)
+      reports.add((st.cellId, new Report(delta, dv, d, xv, x, st.sampleUnallocated(SamplesPerCell, iterSeed))))
+      st
     }
   }
 
-  /** The reports of one slot's cells, in cell order. */
-  private object GatherReports
-      extends ((TaskContext, Iterator[Cell]) => Array[Report]) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[Report] = it.map(_.report).toArray
+  /** Computes (and so caches) one slot's cells. */
+  private object Materialize
+      extends ((TaskContext, Iterator[SubGraphState]) => Unit) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[SubGraphState]): Unit = it.foreach(_ => ())
   }
 
-  /** The edge count and samples of each initial cell of one slot. */
-  private object GatherInitial
-      extends ((TaskContext, Iterator[Cell]) => Array[(Long, Array[Long])]) with Serializable {
-    def apply(ctx: TaskContext, it: Iterator[Cell]): Array[(Long, Array[Long])] =
-      it.map(c => (c.state.graph.numEdges.toLong, c.report.samples)).toArray
+  /** The edge count and restart samples of each initial cell of one slot. */
+  private final class GatherInitial(seed: Long)
+      extends ((TaskContext, Iterator[SubGraphState]) => Array[(Long, Array[Long])]) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[SubGraphState]): Array[(Long, Array[Long])] =
+      it.map(st => (st.graph.numEdges.toLong, st.sampleUnallocated(SamplesPerCell, seed))).toArray
   }
 
   /** `Result.assignments`: read from the cached final cells on every pass. */
-  private final class Assignments(cells: RDD[Cell]) extends RDD[(Long, Long, Int)](cells) {
+  private final class Assignments(cells: RDD[SubGraphState]) extends RDD[(Long, Long, Int)](cells) {
     override def compute(split: Partition, ctx: TaskContext): Iterator[(Long, Long, Int)] =
-      cells.iterator(split, ctx).flatMap(_.state.assignments)
+      cells.iterator(split, ctx).flatMap(_.assignments)
 
     override protected def getPartitions: Array[Partition] = cells.partitions
 
@@ -230,13 +260,13 @@ object DistributedNE {
     val cellPart = CellSlots(grid.numCells, math.min(grid.numCells, slots))
 
     // ---- initial distribution: 2D-hash + CSR per cell (paper §4) ----
-    var cells: RDD[Cell] = edges
+    var cells: RDD[SubGraphState] = edges
       .map(new KeyByCell(grid))
       .partitionBy(cellPart)
-      .mapPartitionsWithIndex(new BuildCells(cellPart, p, cfg.seed))
+      .mapPartitionsWithIndex(new BuildCells(cellPart, p))
       .localCheckpoint()
 
-    val init = sc.runJob(cells, GatherInitial).flatten
+    val init = sc.runJob(cells, new GatherInitial(cfg.seed)).flatten
     val numEdges = init.map(_._1).sum
     require(numEdges > 0, "cannot partition an empty graph")
     val exps = new ExpansionState(cfg, numEdges, grid.numCells, init.flatMap(_._2))
@@ -250,12 +280,16 @@ object DistributedNE {
       val joined = sc.runJob(cells, new OneHopMessages(step)).flatten
       val synced = step.copy(syncVertex = joined.flatMap(_._1), syncPart = joined.flatMap(_._2))
 
-      // -- phase 1 again, then phases 2–4; the reports gathered by cell --
-      val next = cells.mapPartitions(new NextCells(synced, iterSeed)).localCheckpoint()
-      val reports = sc.runJob(next, GatherReports).flatten
+      // -- phase 1 again, then phases 2–4; the reports come back by cell --
+      val reports = new CellReports
+      sc.register(reports)
+      val next = cells.mapPartitions(new NextCells(synced, iterSeed, reports)).localCheckpoint()
+      sc.runJob(next, Materialize)
       ReproShim.release(cells, blocking = false)
       cells = next
-      exps.absorb(reports)
+      val byCell = reports.value
+      require(byCell.length == grid.numCells, s"${byCell.length} of ${grid.numCells} cells reported")
+      exps.absorb(synced, byCell)
       iter += 1
     }
 
@@ -263,6 +297,6 @@ object DistributedNE {
       s"Distributed NE did not converge in $MaxIterations iterations " +
       s"(${numEdges - exps.remaining} / $numEdges edges allocated)")
 
-    Result(new Assignments(cells), numEdges, iter, exps.partitionSizes)
+    Result(new Assignments(cells), numEdges, iter, exps.partitionSizes, exps.iterationStats)
   }
 }

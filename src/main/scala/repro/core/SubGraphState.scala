@@ -34,15 +34,17 @@ final class SubGraphState private (
   def copy(): SubGraphState =
     new SubGraphState(cellId, graph, alloc.clone(), memberships.copy(), unallocCount.clone())
 
-  /** Allocates edge `e` to `p`; appends each endpoint new to `p` to `joined`. */
-  private def allocateEdge(e: Int, p: Int,
-                           joined: ArrayBuilder.ofLong, joinedPart: ArrayBuilder.ofInt): Unit = {
+  /** Allocates edge `e` to `p` and logs it: each endpoint in `touched`,
+    * and each endpoint new to `p` in `joined`.
+    */
+  private def allocateEdge(e: Int, p: Int, log: SubGraphState.Log): Unit = {
     alloc(e) = p
     var side = 0
     while (side < 2) {
       val lx = if (side == 0) graph.lsrc(e) else graph.ldst(e)
       unallocCount(lx) -= 1
-      if (memberships.add(lx, p)) { joined += vertexIds(lx); joinedPart += p }
+      log.touched += lx
+      if (memberships.add(lx, p)) { log.joined += vertexIds(lx); log.joinedPart += p }
       side += 1
     }
   }
@@ -54,21 +56,22 @@ final class SubGraphState private (
     * smaller id — the distributed analogue of the paper's CAS.
     *
     * @param selVertex the selected (vertex, `selPart`) pairs in the driver's
-    *               sorted order. A vertex selected by several partitions
-    *               expands for each of them, but as the far end of an edge
-    *               it claims for the first one listed.
+    *               sorted order. The driver lists each vertex once; one
+    *               listed for several partitions expands for each of them,
+    *               but as the far end of an edge it claims for the first.
     * @param sizes  global |E_p| snapshot from the driver (start of iteration)
     * @param delta  per-partition edges allocated locally this iteration
     *               (updated in place; used to keep conflict resolution and
     *               two-hop target choice load-aware within the iteration)
     * @param quota  per-partition cap on `delta` for this iteration
-    * @return the new (vertex, partition) memberships to synchronise
+    * @param log    takes the new (vertex, partition) memberships to
+    *               synchronise and the ends of the allocated edges
     */
   def allocateOneHop(selVertex: Array[Long], selPart: Array[Int],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long]): (Array[Long], Array[Int]) = {
-    val (joined, joinedPart) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofInt)
+                     quota: Array[Long],
+                     log: SubGraphState.Log): Unit = {
     // Capacity-aware allocation (Eq. 2's constraint enforced *during* the
     // iteration): the driver hands every cell a per-partition quota of
     // ⌈(cap − |E_p|)/A⌉ edges, so even with all A cells allocating
@@ -110,7 +113,7 @@ final class SubGraphState private (
                   if (loadP < loadQ || (loadP == loadQ && p < q)) p else q
               }
             if (winner >= 0) {
-              allocateEdge(e, winner, joined, joinedPart)
+              allocateEdge(e, winner, log)
               delta(winner) += 1
             }
           }
@@ -119,7 +122,6 @@ final class SubGraphState private (
       }
       i += 1
     }
-    (joined.result(), joinedPart.result())
   }
 
   /** Phase 2 — SyncVertexAllocations: apply the iteration's new (vertex,
@@ -148,12 +150,13 @@ final class SubGraphState private (
     * vertex u, allocate each local unallocated edge (u,w) whose endpoints
     * already share a partition; such edges never increase replication
     * (Condition (5)). The target is the least-loaded shared partition.
+    * The allocated edges' ends go to `log.touched`.
     */
   def allocateTwoHop(bpNew: Array[(Int, Int)],
                      sizes: Array[Long],
                      delta: Array[Long],
-                     quota: Array[Long]): Unit = {
-    val (ignored, ignoredPart) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofInt)
+                     quota: Array[Long],
+                     log: SubGraphState.Log): Unit = {
     var i = 0
     while (i < bpNew.length) {
       val lu = bpNew(i)._1
@@ -165,10 +168,10 @@ final class SubGraphState private (
           val lw = graph.other(e, lu)
           val pNew = leastLoadedShared(lu, lw, sizes, delta, quota)
           if (pNew >= 0) {
-            val before = ignored.length
-            allocateEdge(e, pNew, ignored, ignoredPart)
+            val before = log.joined.length
+            allocateEdge(e, pNew, log)
             // Both endpoints already hold pNew, so no membership can appear.
-            assert(ignored.length == before,
+            assert(log.joined.length == before,
               s"two-hop allocation created a membership for edge $e")
             delta(pNew) += 1
           }
@@ -202,14 +205,35 @@ final class SubGraphState private (
     best
   }
 
-  /** Phase 4 — ComputeLocalDrest: the local D_rest for each synced boundary
-    * pair, as parallel arrays (vertex, partition, local D_rest). Zero scores
-    * are dropped — a vertex with no unallocated edges is not in the boundary
-    * B(X) by definition.
+  /** Phase 4 — ComputeLocalDrest: the local D_rest of each vertex of the
+    * synced boundary pairs, once per vertex in ascending local id, as
+    * parallel arrays (vertex, local D_rest). Zeros are dropped — a vertex
+    * with no unallocated edges is not in the boundary B(X) by definition.
     */
-  def localDrest(bpNew: Array[(Int, Int)]): (Array[Long], Array[Int], Array[Int]) = {
-    val kept = bpNew.filter(b => unallocCount(b._1) > 0)
-    (kept.map(b => vertexIds(b._1)), kept.map(_._2), kept.map(b => unallocCount(b._1)))
+  def localDrest(bpNew: Array[(Int, Int)]): (Array[Long], Array[Int]) =
+    perVertex(bpNew.map(_._1))((lv, _) => unallocCount(lv))
+
+  /** How far each logged vertex's local D_rest fell in the iteration, once
+    * per vertex in ascending local id, as parallel arrays (vertex, decrement).
+    */
+  def drestDrops(log: SubGraphState.Log): (Array[Long], Array[Int]) =
+    perVertex(log.touched.result())((_, times) => times)
+
+  /** Each distinct local id of `lvs` (sorted in place), ascending, as its
+    * vertex id and `f(local id, times it occurs)`; zero values are dropped.
+    */
+  private def perVertex(lvs: Array[Int])(f: (Int, Int) => Int): (Array[Long], Array[Int]) = {
+    java.util.Arrays.sort(lvs)
+    val (vs, values) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofInt)
+    var i = 0
+    while (i < lvs.length) {
+      var j = i + 1
+      while (j < lvs.length && lvs(j) == lvs(i)) j += 1
+      val value = f(lvs(i), j - i)
+      if (value != 0) { vs += vertexIds(lvs(i)); values += value }
+      i = j
+    }
+    (vs.result(), values.result())
   }
 
   /** Up to `k` local vertices that still have unallocated edges, scanned
@@ -239,6 +263,16 @@ final class SubGraphState private (
 }
 
 object SubGraphState {
+
+  /** What an iteration's allocations change beyond the state: the new
+    * (vertex, partition) memberships, in allocation order, and one local
+    * vertex id per end of each allocated edge (its local D_rest fell by 1).
+    */
+  final class Log {
+    val joined = new ArrayBuilder.ofLong
+    val joinedPart = new ArrayBuilder.ofInt
+    val touched = new ArrayBuilder.ofInt
+  }
 
   /** The initial (nothing allocated) state of one grid cell, with room for
     * memberships of partitions `0 until numPartitions`.

@@ -74,7 +74,7 @@ object LocalGraph {
   /** The slot of `slots` (length a power of two, never full) that holds the
     * local id of `x`, or else the empty slot where it would go.
     */
-  private def probe(slots: Array[Int], ids: Array[Long], x: Long): Int = {
+  private[repro] def probe(slots: Array[Int], ids: Array[Long], x: Long): Int = {
     val mask = slots.length - 1
     var s = Hashing.mix64(x).toInt & mask
     while (slots(s) >= 0 && ids(slots(s)) != x) s = (s + 1) & mask
@@ -82,7 +82,7 @@ object LocalGraph {
   }
 
   /** A table of `size` slots holding local ids `0 until n`. */
-  private def rehash(ids: Array[Long], n: Int, size: Int): Array[Int] = {
+  private[repro] def rehash(ids: Array[Long], n: Int, size: Int): Array[Int] = {
     val slots = Array.fill(size)(-1)
     var lv = 0
     while (lv < n) { slots(probe(slots, ids, ids(lv))) = lv; lv += 1 }

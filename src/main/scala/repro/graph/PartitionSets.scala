@@ -21,24 +21,38 @@ final class PartitionSets private (val words: Int, bits: Array[Long]) extends Se
     bits(i) != old
   }
 
+  /** Removes `p` from the set of `lv`. */
+  def remove(lv: Int, p: Int): Unit = bits(lv * words + (p >>> 6)) &= ~(1L << (p & 63))
+
   /** Word `w` of the set of `lv`: its partitions in `[64·w, 64·w + 64)`. */
   def word(lv: Int, w: Int): Long = bits(lv * words + w)
+
+  /** Applies `f` to each partition of `lv`, ascending. */
+  def foreach(lv: Int)(f: Int => Unit): Unit = {
+    var w = 0
+    while (w < words) {
+      var b = word(lv, w)
+      while (b != 0) { f((w << 6) + java.lang.Long.numberOfTrailingZeros(b)); b &= b - 1 }
+      w += 1
+    }
+  }
 
   /** The partitions of `lv`, ascending. */
   def toArray(lv: Int): Array[Int] = {
     val out = Array.newBuilder[Int]
-    var w = 0
-    while (w < words) {
-      var b = word(lv, w)
-      while (b != 0) { out += (w << 6) + java.lang.Long.numberOfTrailingZeros(b); b &= b - 1 }
-      w += 1
-    }
+    foreach(lv)(out += _)
     out.result()
   }
 
   def clear(lv: Int): Unit = java.util.Arrays.fill(bits, lv * words, (lv + 1) * words, 0L)
 
   def copy(): PartitionSets = new PartitionSets(words, bits.clone())
+
+  /** A copy with room for `numVertices` vertices; the sets of vertices past
+    * this one's end are empty.
+    */
+  def resized(numVertices: Int): PartitionSets =
+    new PartitionSets(words, java.util.Arrays.copyOf(bits, Math.multiplyExact(numVertices, words)))
 }
 
 object PartitionSets {

@@ -25,7 +25,7 @@ class IntegrationSpec extends SparkSpec {
     "Obli." -> 348705745, "H.G." -> 112381244, "HDRF" -> 1017660526,
     "NE" -> -1924690817, "SNE" -> -1998482089, "Sheep" -> -254704891,
     "P.M." -> 515623961, "X.P." -> -1437808481, "Spinner" -> -1626491157,
-    "D.NE" -> -2100361753)
+    "D.NE" -> 630424108)
 
   private def checksumOf(r: Runners.RunResult): Int =
     MurmurHash3.seqHash(r.edges.indices.map(i => (r.edges(i)._1, r.edges(i)._2, r.assign(i))).sorted)

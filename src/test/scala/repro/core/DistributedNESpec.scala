@@ -368,6 +368,16 @@ class DistributedNESpec extends SparkSpec {
     assert(res.numEdges == edges.length)
   }
 
+  test("the per-iteration counters add up: one per iteration, sum of allocated = |E|") {
+    val edges = GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect()
+    val (_, res) = runOn(edges, 8)
+    assert(res.trace.length == res.iterations)
+    assert(res.trace.map(_.allocated).sum == res.numEdges)
+    res.trace.foreach(s => assert(s.selected >= 1 && s.restarts <= s.selected, s"$s"))
+    assert(res.trace.head.restarts == res.trace.head.selected, "the first iteration only restarts")
+    assert(res.trace.map(_.skipped).sum > 0 && res.trace.map(_.givenUp).sum > 0)
+  }
+
   test("self-loops, duplicated and reversed pairs: every occurrence comes back once") {
     val base = TestGraphs.skewed(60, 200, seed = 11)
     val (u, v) = base(3)

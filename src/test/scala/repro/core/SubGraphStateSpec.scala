@@ -12,8 +12,17 @@ class SubGraphStateSpec extends SparkSpec {
     */
   private def oneHop(st: SubGraphState, sel: Seq[(Long, Int)], sizes: Array[Long],
                      delta: Array[Long], quota: Array[Long]): Seq[(Long, Int)] = {
-    val (vs, ps) = st.allocateOneHop(sel.map(_._1).toArray, sel.map(_._2).toArray, sizes, delta, quota)
-    vs.toSeq.zip(ps)
+    val log = new SubGraphState.Log
+    st.allocateOneHop(sel.map(_._1).toArray, sel.map(_._2).toArray, sizes, delta, quota, log)
+    log.joined.result().toSeq.zip(log.joinedPart.result())
+  }
+
+  /** Phase 3 with a fresh log. */
+  private def twoHop(st: SubGraphState, bp: Array[(Int, Int)], sizes: Array[Long],
+                     delta: Array[Long], quota: Array[Long]): SubGraphState.Log = {
+    val log = new SubGraphState.Log
+    st.allocateTwoHop(bp, sizes, delta, quota, log)
+    log
   }
 
   /** Phase 2's sync of the given (vertex, partition) memberships. */
@@ -131,19 +140,20 @@ class SubGraphStateSpec extends SparkSpec {
     val st = SubGraphState.build(0, 4, TestGraphs.path(3))
     val bp = sync(st, (1L, 0), (2L, 0))
     val delta = new Array[Long](1)
-    st.allocateTwoHop(bp, Array(0L), delta, noQuota)
+    val log = twoHop(st, bp, Array(0L), delta, noQuota)
     val g = st.graph
     val e12 = (0 until g.numEdges).find(e => g.lsrc(e) == g.localId(1L) && g.ldst(e) == g.localId(2L)).get
     assert(st.alloc(e12) == 0)
     assert(st.alloc.count(_ >= 0) == 1, "only the shared-membership edge may be taken")
     assert(delta(0) == 1)
+    assert(st.drestDrops(log)._1.toSeq == Seq(1L, 2L), "the log holds the edge's ends")
   }
 
   test("two-hop allocation picks the least-loaded shared partition") {
     val st = SubGraphState.build(0, 4, Array((1L, 2L)))
     val bp = sync(st, (1L, 0), (1L, 1), (2L, 0), (2L, 1))
     val delta = new Array[Long](2)
-    st.allocateTwoHop(bp, Array(9L, 2L), delta, noQuota)
+    twoHop(st, bp, Array(9L, 2L), delta, noQuota)
     assert(st.alloc(0) == 1)
   }
 
@@ -163,7 +173,7 @@ class SubGraphStateSpec extends SparkSpec {
 
     def twoHopTarget(sizes: Array[Long]): Int = {
       val s = synced()
-      s.allocateTwoHop(Array((s.graph.localId(1L), 0)), sizes, new Array[Long](p), free)
+      twoHop(s, Array((s.graph.localId(1L), 0)), sizes, new Array[Long](p), free)
       s.alloc(0)
     }
     def loads(light: (Int, Long)*): Array[Long] = {
@@ -186,7 +196,7 @@ class SubGraphStateSpec extends SparkSpec {
     val k4 = SubGraphState.build(0, 4, TestGraphs.k4)
     val bp = sync(k4, (0L to 3L).map(x => (x, 0)): _*)
     val d2 = new Array[Long](1)
-    k4.allocateTwoHop(bp, Array(0L), d2, Array(1L))
+    twoHop(k4, bp, Array(0L), d2, Array(1L))
     assert(d2(0) == 1 && k4.alloc.count(_ == 0) == 1 && k4.alloc.count(_ < 0) == 5)
   }
 
@@ -194,10 +204,22 @@ class SubGraphStateSpec extends SparkSpec {
     val st = SubGraphState.build(0, 4, TestGraphs.path(3)) // 0-1-2-3
     val delta = new Array[Long](1)
     oneHop(st, Seq((0L, 0)), Array(0L), delta, noQuota) // takes (0,1)
-    val bp = sync(st, (0L, 0), (1L, 0))
-    val (vs, ps, ds) = st.localDrest(bp)
-    // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2) left
-    assert(vs.toSeq == Seq(1L) && ps.toSeq == Seq(0) && ds.toSeq == Seq(1))
+    val bp = sync(st, (0L, 0), (1L, 0), (1L, 2))
+    val (vs, ds) = st.localDrest(bp)
+    // vertex 0 exhausted (degree 1, allocated) → dropped; vertex 1 has (1,2)
+    // left and is reported once
+    assert(vs.toSeq == Seq(1L) && ds.toSeq == Seq(1))
+  }
+
+  test("drestDrops reports how far each vertex's local D_rest fell, once per vertex") {
+    val st = SubGraphState.build(0, 4, TestGraphs.path(3) :+ ((1L, 1L))) // 0-1-2-3, a loop on 1
+    val log = new SubGraphState.Log
+    st.allocateOneHop(Array(1L), Array(0), Array(0L), new Array[Long](1), noQuota, log)
+    val (vs, ds) = st.drestDrops(log)
+    val before = Map(0L -> 1, 1L -> 4, 2L -> 2, 3L -> 1)
+    // 1's three edges: (0,1), (1,2) and the loop, which counts twice
+    assert(vs.toSeq.zip(ds) == Seq((0L, 1), (1L, 4), (2L, 1)))
+    vs.indices.foreach(i => assert(st.unallocCount(st.graph.localId(vs(i))) == before(vs(i)) - ds(i)))
   }
 
   test("copy isolates the mutable state") {
