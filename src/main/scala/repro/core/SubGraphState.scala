@@ -4,13 +4,9 @@ import repro.graph.{LocalGraph, PartitionSets}
 
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
-/** State of one *allocation process* (§3.3/§4 of the paper): the slice of
-  * the input graph that 2D-hash placement assigned to this grid cell, plus
-  * the mutable allocation state.
-  *
-  * `graph` is immutable and shared between copies. The rest is mutable per
-  * copy (both stages of a DistributedNE iteration, and any task retry,
-  * start from the same cached state, so each copies it before writing):
+/** One *allocation process* (§3.3/§4 of the paper) at work: the slice of
+  * the input graph that 2D-hash placement assigned to this grid cell (its
+  * topology, `graph`), together with the cell's mutable allocation state:
   *  - `alloc`        — per-edge partition id, -1 = unallocated
   *  - `memberships`  — per local vertex, the set of partitions it has been
   *                      allocated to (the replicated vertex allocation ids
@@ -18,8 +14,12 @@ import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
   *  - `unallocCount` — per local vertex, its local D_rest (number of local
   *                      unallocated incident edges)
   *
-  * Every field is a primitive array or an all-primitive object, so
-  * Spark's size estimator walks a cached state in a fixed number of steps.
+  * A cached cell is its state alone ([[SubGraphState.State]]): DistributedNE
+  * caches each cell's immutable `LocalGraph` once per call, and each
+  * iteration caches only the states. A task puts its cells together with
+  * [[SubGraphState.of]], which copies the state and shares the topology:
+  * both jobs of an iteration, and any task retry, start from the same
+  * cached state, so each copies it before writing.
   */
 final class SubGraphState private (
     val cellId: Int,
@@ -27,12 +27,14 @@ final class SubGraphState private (
     val alloc: Array[Int],
     val memberships: PartitionSets,
     val unallocCount: Array[Int]
-) extends Serializable {
+) {
   import graph.{adjEdge, adjOff, vertexIds}
 
+  /** The allocation state alone, on this cell's arrays (not a copy). */
+  def state: SubGraphState.State = new SubGraphState.State(cellId, alloc, memberships, unallocCount)
+
   /** Copy-on-write clone: clones the mutable arrays, shares the topology. */
-  def copy(): SubGraphState =
-    new SubGraphState(cellId, graph, alloc.clone(), memberships.copy(), unallocCount.clone())
+  def copy(): SubGraphState = SubGraphState.of(graph, state)
 
   /** Allocates edge `e` to `p` and logs it: each endpoint in `touched`,
     * and each endpoint new to `p` in `joined`.
@@ -126,24 +128,25 @@ final class SubGraphState private (
 
   /** Phase 2 — SyncVertexAllocations: apply the iteration's new (vertex,
     * partition) memberships to the local replicas, skipping other vertices.
-    * @return the locally-present synced pairs (deduplicated, in order), i.e.
-    *         the local view of BP_new to scan for two-hop allocation.
+    * @return the local ids of the locally-present synced vertices, each
+    *         once, in order of first appearance: the local view of BP_new
+    *         to scan for two-hop allocation. A vertex synced for several
+    *         partitions is scanned once; a second scan could allocate
+    *         nothing, as phase 3 adds no membership and only fills quotas.
     */
-  def applySync(vertex: Array[Long], part: Array[Int]): Array[(Int, Int)] = {
-    val seen = new java.util.HashSet[Long]()
-    val local = new ArrayBuffer[(Int, Int)]()
-    for (i <- vertex.indices) {
+  def applySync(vertex: Array[Long], part: Array[Int]): Array[Int] = {
+    val listed = new Array[Boolean](graph.numVertices)
+    val local = new ArrayBuilder.ofInt
+    var i = 0
+    while (i < vertex.length) {
       val lx = graph.localId(vertex(i))
-      val p = part(i)
       if (lx >= 0) {
-        val key = lx.toLong * 0x100000000L + p
-        if (seen.add(key)) {
-          memberships.add(lx, p)
-          local += ((lx, p))
-        }
+        memberships.add(lx, part(i))
+        if (!listed(lx)) { listed(lx) = true; local += lx }
       }
+      i += 1
     }
-    local.toArray
+    local.result()
   }
 
   /** Phase 3 — AllocateTwoHopNeighbors (Alg. 3): for each synced boundary
@@ -152,14 +155,14 @@ final class SubGraphState private (
     * (Condition (5)). The target is the least-loaded shared partition.
     * The allocated edges' ends go to `log.touched`.
     */
-  def allocateTwoHop(bpNew: Array[(Int, Int)],
+  def allocateTwoHop(bpNew: Array[Int],
                      sizes: Array[Long],
                      delta: Array[Long],
                      quota: Array[Long],
                      log: SubGraphState.Log): Unit = {
     var i = 0
     while (i < bpNew.length) {
-      val lu = bpNew(i)._1
+      val lu = bpNew(i)
       var k = adjOff(lu)
       val end = adjOff(lu + 1)
       while (k < end) {
@@ -205,13 +208,13 @@ final class SubGraphState private (
     best
   }
 
-  /** Phase 4 — ComputeLocalDrest: the local D_rest of each vertex of the
-    * synced boundary pairs, once per vertex in ascending local id, as
+  /** Phase 4 — ComputeLocalDrest: the local D_rest of each synced boundary
+    * vertex (local ids `bpNew`), once per vertex in ascending local id, as
     * parallel arrays (vertex, local D_rest). Zeros are dropped — a vertex
     * with no unallocated edges is not in the boundary B(X) by definition.
     */
-  def localDrest(bpNew: Array[(Int, Int)]): (Array[Long], Array[Int]) =
-    perVertex(bpNew.map(_._1))((lv, _) => unallocCount(lv))
+  def localDrest(bpNew: Array[Int]): (Array[Long], Array[Int]) =
+    perVertex(bpNew.clone())((lv, _) => unallocCount(lv))
 
   /** How far each logged vertex's local D_rest fell in the iteration, once
     * per vertex in ascending local id, as parallel arrays (vertex, decrement).
@@ -274,12 +277,30 @@ object SubGraphState {
     val touched = new ArrayBuilder.ofInt
   }
 
-  /** The initial (nothing allocated) state of one grid cell, with room for
-    * memberships of partitions `0 until numPartitions`.
+  /** The mutable allocation state of one cell, without its topology: what
+    * an iteration caches. Every field is a primitive array or an
+    * all-primitive object, so Spark's size estimator walks a cached state in
+    * a fixed number of steps.
     */
-  def build(cellId: Int, numPartitions: Int, edges: Array[(Long, Long)]): SubGraphState = {
-    val g = LocalGraph.build(edges)
-    new SubGraphState(cellId, g, Array.fill(g.numEdges)(-1),
-      PartitionSets(g.numVertices, numPartitions), Array.tabulate(g.numVertices)(g.degree))
-  }
+  final class State(val cellId: Int, val alloc: Array[Int], val memberships: PartitionSets,
+                    val unallocCount: Array[Int]) extends Serializable
+
+  /** Cell `state.cellId` on its topology `graph`, with a private copy of
+    * `state` (copy-on-write: the arrays are cloned, the topology is shared).
+    */
+  def of(graph: LocalGraph, state: State): SubGraphState =
+    new SubGraphState(state.cellId, graph, state.alloc.clone(), state.memberships.copy(),
+      state.unallocCount.clone())
+
+  /** The initial (nothing allocated) state of grid cell `cellId` on its
+    * topology `graph`, with room for memberships of partitions
+    * `0 until numPartitions`.
+    */
+  def initial(cellId: Int, numPartitions: Int, graph: LocalGraph): SubGraphState =
+    new SubGraphState(cellId, graph, Array.fill(graph.numEdges)(-1),
+      PartitionSets(graph.numVertices, numPartitions), Array.tabulate(graph.numVertices)(graph.degree))
+
+  /** [[initial]] on the CSR of `edges`. */
+  def build(cellId: Int, numPartitions: Int, edges: Array[(Long, Long)]): SubGraphState =
+    initial(cellId, numPartitions, LocalGraph.build(edges))
 }

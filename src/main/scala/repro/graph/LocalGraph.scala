@@ -7,8 +7,10 @@ package repro.graph
   * appearance in the edge list (source before destination); `vertexIds`
   * maps them back to global ids. Edge `e` joins `lsrc(e)` and `ldst(e)`,
   * and sits under both endpoints in the adjacency `adjEdge(adjOff(lv) until
-  * adjOff(lv + 1))`, in edge order. Immutable, so every copy of a mutable
-  * state built on it can share one instance.
+  * adjOff(lv + 1))`, in edge order. Immutable: DistributedNE builds and
+  * caches each cell's `LocalGraph` once per call, and every copy of the
+  * cell's allocation state, in every iteration, is put together with that
+  * one instance (a cached cell is its state alone).
   *
   * Every field is a primitive array, the global → local index included: an
   * open-addressing table of local ids (-1 = empty slot) probed linearly from
@@ -37,8 +39,12 @@ final class LocalGraph private (
 
 object LocalGraph {
 
-  def build(edges: Array[(Long, Long)]): LocalGraph = {
-    val m = edges.length
+  def build(edges: Array[(Long, Long)]): LocalGraph = build(edges.map(_._1), edges.map(_._2))
+
+  /** The CSR of the edges `(src(i), dst(i))`, in index order. */
+  def build(src: Array[Long], dst: Array[Long]): LocalGraph = {
+    require(src.length == dst.length, s"${src.length} sources but ${dst.length} destinations")
+    val m = src.length
     val ids = new Array[Long](2 * m)
     var n = 0
     var slots = Array(-1, -1)
@@ -54,7 +60,7 @@ object LocalGraph {
     val lsrc = new Array[Int](m)
     val ldst = new Array[Int](m)
     var i = 0
-    while (i < m) { lsrc(i) = intern(edges(i)._1); ldst(i) = intern(edges(i)._2); i += 1 }
+    while (i < m) { lsrc(i) = intern(src(i)); ldst(i) = intern(dst(i)); i += 1 }
     val adjOff = new Array[Int](n + 1)
     i = 0
     while (i < m) { adjOff(lsrc(i) + 1) += 1; adjOff(ldst(i) + 1) += 1; i += 1 }

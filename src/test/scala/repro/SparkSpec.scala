@@ -7,7 +7,9 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM; SPARK_MASTER overrides the default ``local[*]``.
+  * SPARK_DRIVER_MEM; SPARK_MASTER overrides the default ``local[*,2]``,
+  * which gives every task a second attempt, so tests can exercise task
+  * retries.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -18,7 +20,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*,2]"))
       .appName("repro")
       .getOrCreate()
     // One line in test output that tells whether the driver heap setting

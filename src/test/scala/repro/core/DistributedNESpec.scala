@@ -1,8 +1,9 @@
 package repro.core
 
-import org.apache.spark.{SparkEnv, StageShim}
+import org.apache.spark.{SparkEnv, StageShim, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerJobEnd, SparkListenerJobStart,
+  SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
@@ -14,6 +15,7 @@ import org.apache.logging.log4j.core.appender.AbstractAppender
 import org.apache.logging.log4j.core.config.{LoggerConfig, Property}
 
 import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
 
 class DistributedNESpec extends SparkSpec {
@@ -299,6 +301,92 @@ class DistributedNESpec extends SparkSpec {
     }
   }
 
+  test("the topology is cached once: each iteration stores only its new states") {
+    val sc = spark.sparkContext
+    val input = rddOf(GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect())
+    val p = 16
+    val slots = math.min(p, sc.defaultParallelism)
+    val phase = "dne.test.phase"
+    // in bus order: ("job <phase>", -1, 0) at each job start, and
+    // ("store", rdd id, bytes) for each RDD block put in memory
+    val events = new ConcurrentLinkedQueue[(String, Int, Long)]()
+    val watch = new SparkListener {
+      override def onJobStart(s: SparkListenerJobStart): Unit =
+        events.add((s"job ${Option(s.properties).flatMap(p => Option(p.getProperty(phase))).getOrElse("")}", -1, 0L))
+      override def onBlockUpdated(u: SparkListenerBlockUpdated): Unit = u.blockUpdatedInfo.blockId match {
+        case RDDBlockId(rdd, _) if u.blockUpdatedInfo.memSize > 0 =>
+          events.add(("store", rdd, u.blockUpdatedInfo.memSize))
+        case _ =>
+      }
+    }
+    sc.addSparkListener(watch)
+    try {
+      sc.setLocalProperty(phase, "call")
+      val res = DistributedNE.partition(spark, input, DistributedNE.Config(p))
+      sc.setLocalProperty(phase, "read")
+      res.assignments.collect()
+      sc.setLocalProperty(phase, null)
+      res.assignments.unpersist(blocking = false)
+      val deadline = System.nanoTime() + 10000000000L
+      while (!events.asScala.exists(_._1 == "job read") && System.nanoTime() < deadline) Thread.sleep(10)
+      // the blocks each job of the call stored, job by job
+      val ofCall = events.asScala.toSeq.dropWhile(_._1 != "job call").takeWhile(_._1 != "job read")
+      val perJob = ofCall.foldLeft(Vector.empty[Vector[(Int, Long)]]) {
+        case (jobs, ("store", rdd, bytes)) => jobs.init :+ (jobs.last :+ ((rdd, bytes)))
+        case (jobs, _) => jobs :+ Vector.empty
+      }
+      assert(perJob.length == 2 * res.iterations + 1, s"${perJob.length} jobs in ${res.iterations} iterations")
+      val build = perJob.head
+      assert(build.map(_._1).distinct.length == 1 && build.length == slots, s"the build stored $build")
+      val built = build.map(_._2).sum
+      perJob.tail.zipWithIndex.foreach { case (job, j) =>
+        assert(job.map(_._2).sum < built / 2, s"job ${j + 1} stored ${job.map(_._2).sum} bytes, the build $built")
+      }
+      // phase 1 stores nothing; phase 2 stores one block per slot, all of its own new RDD
+      val phase1 = perJob.tail.grouped(2).map(_.head).toSeq
+      val phase2 = perJob.tail.grouped(2).map(_.last).toSeq
+      assert(phase1.forall(_.isEmpty), "a phase-1 job stored blocks")
+      val stateRdds = phase2.map { job =>
+        assert(job.map(_._1).distinct.length == 1 && job.length == slots, s"a phase-2 job stored $job")
+        job.head._1
+      }
+      assert(stateRdds.distinct.length == res.iterations && !stateRdds.contains(build.head._1),
+        s"state RDDs ${stateRdds.mkString(", ")}, topology ${build.head._1}")
+    } finally {
+      sc.setLocalProperty(phase, null)
+      sc.removeSparkListener(watch)
+    }
+  }
+
+  test("a task that fails on its first attempt is retried and the output is unchanged") {
+    val sc = spark.sparkContext
+    // the default test master, local[*,2], gives every task two attempts
+    val attempts = """local\[[^,\]]+,\s*(\d+)\]""".r
+    assume(sc.master match { case attempts(n) => n.toInt >= 2; case _ => false },
+      s"master ${sc.master} does not retry tasks")
+    val edges = GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect()
+    val (expected, _) = runOn(edges, 4)
+    val failed = new AtomicInteger
+    val watch = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = if (e.taskInfo.failed) failed.incrementAndGet()
+    }
+    // slice 0 throws on its first attempt, while the build reads it
+    val flaky = rddOf(edges).mapPartitionsWithIndex { (slice, it) =>
+      if (slice == 0 && TaskContext.get().attemptNumber() == 0) throw new IllegalStateException("first attempt")
+      it
+    }
+    sc.addSparkListener(watch)
+    try {
+      val res = DistributedNE.partition(spark, flaky, DistributedNE.Config(4))
+      val retried = res.assignments.collect().sortBy(t => (t._1, t._2))
+      res.assignments.unpersist(blocking = false)
+      assert(retried.toSeq == expected.toSeq)
+      val deadline = System.nanoTime() + 10000000000L
+      while (failed.get == 0 && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(failed.get == 1, s"${failed.get} failed task attempts")
+    } finally sc.removeSparkListener(watch)
+  }
+
   /** Runs `body` with logger `name` at `level`, its lines sent only to a
     * list; returns the result and the lines.
     */
@@ -339,8 +427,10 @@ class DistributedNESpec extends SparkSpec {
     val (named, other) = lines.partition(_.startsWith(passed))
     val lambdaLines = other.distinct
     assert(lambdaLines.isEmpty, "the cleaner worked on lambdas")
-    // a runJob, a mapPartitions and a runJob per iteration
-    assert(named.length >= 3 * res.iterations, s"saw ${named.length} functions in ${res.iterations} iterations")
+    // the build's mapPartitions, mapPartitionsWithIndex and runJob, then two
+    // runJobs per iteration
+    val functions = named.length
+    assert(functions == 2 * res.iterations + 3, s"saw $functions functions in ${res.iterations} iterations")
     named.map(_.stripPrefix(passed)).distinct.foreach { name =>
       assert(!name.contains("$anonfun$") && !Class.forName(name).isSynthetic, s"$name is a lambda")
     }

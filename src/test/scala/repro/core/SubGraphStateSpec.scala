@@ -18,7 +18,7 @@ class SubGraphStateSpec extends SparkSpec {
   }
 
   /** Phase 3 with a fresh log. */
-  private def twoHop(st: SubGraphState, bp: Array[(Int, Int)], sizes: Array[Long],
+  private def twoHop(st: SubGraphState, bp: Array[Int], sizes: Array[Long],
                      delta: Array[Long], quota: Array[Long]): SubGraphState.Log = {
     val log = new SubGraphState.Log
     st.allocateTwoHop(bp, sizes, delta, quota, log)
@@ -26,7 +26,7 @@ class SubGraphStateSpec extends SparkSpec {
   }
 
   /** Phase 2's sync of the given (vertex, partition) memberships. */
-  private def sync(st: SubGraphState, msgs: (Long, Int)*): Array[(Int, Int)] =
+  private def sync(st: SubGraphState, msgs: (Long, Int)*): Array[Int] =
     st.applySync(msgs.map(_._1).toArray, msgs.map(_._2).toArray)
 
   test("build produces a consistent CSR") {
@@ -173,7 +173,7 @@ class SubGraphStateSpec extends SparkSpec {
 
     def twoHopTarget(sizes: Array[Long]): Int = {
       val s = synced()
-      twoHop(s, Array((s.graph.localId(1L), 0)), sizes, new Array[Long](p), free)
+      twoHop(s, Array(s.graph.localId(1L)), sizes, new Array[Long](p), free)
       s.alloc(0)
     }
     def loads(light: (Int, Long)*): Array[Long] = {

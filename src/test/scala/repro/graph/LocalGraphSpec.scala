@@ -60,6 +60,20 @@ class LocalGraphSpec extends AnyFunSuite {
     (1L to 4L).foreach(leaf => assert(g.degree(g.localId(leaf)) == 1))
   }
 
+  test("build(src, dst) gives the same ids and CSR as build(pairs)") {
+    val pairs = TestGraphs.skewed(40, 150, seed = 5) ++ Array(
+      (300L, 300L), (300L, 300L), (500L, 500L), // self-loops: one repeated, one alone
+      (7L, 9L), (7L, 9L), (9L, 7L),     // a repeated pair and its reverse
+      (Long.MaxValue, Long.MinValue))
+    val a = LocalGraph.build(pairs)
+    val b = LocalGraph.build(pairs.map(_._1), pairs.map(_._2))
+    def csr(g: LocalGraph) = Seq(g.vertexIds.toSeq, g.lsrc.toSeq, g.ldst.toSeq, g.adjOff.toSeq, g.adjEdge.toSeq)
+    assert(csr(a) == csr(b))
+    assert(a.vertexIds.forall(x => a.localId(x) == b.localId(x)))
+    assert(b.numEdges == pairs.length && b.degree(b.localId(300L)) == 4 && b.degree(b.localId(500L)) == 2)
+    intercept[IllegalArgumentException](LocalGraph.build(Array(1L), Array.emptyLongArray))
+  }
+
   test("a self-loop sits twice under its vertex") {
     val g = LocalGraph.build(Array((5L, 5L)))
     assert(g.numVertices == 1 && g.degree(0) == 2)
