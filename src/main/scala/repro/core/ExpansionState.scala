@@ -141,7 +141,7 @@ final class ExpansionState(cfg: Config, numEdges: Long, numCells: Int, samples: 
       while (q < p) { sizes(q) += r.delta(q); now += r.delta(q); q += 1 }
     }
     allocated += now
-    trace += IterationStats(selected, restarts, skipped, givenUp, now)
+    trace += IterationStats(selected, restarts, skipped, givenUp, now, step.syncVertex.length)
     selected = 0; restarts = 0; skipped = 0; givenUp = 0
     var q = 0
     while (q < p) {

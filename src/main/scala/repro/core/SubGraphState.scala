@@ -14,12 +14,12 @@ import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
   *  - `unallocCount` — per local vertex, its local D_rest (number of local
   *                      unallocated incident edges)
   *
-  * A cached cell is its state alone ([[SubGraphState.State]]): DistributedNE
-  * caches each cell's immutable `LocalGraph` once per call, and each
-  * iteration caches only the states. A task puts its cells together with
-  * [[SubGraphState.of]], which copies the state and shares the topology:
-  * both jobs of an iteration, and any task retry, start from the same
-  * cached state, so each copies it before writing.
+  * DistributedNE caches each cell's immutable `LocalGraph` once per call.
+  * Its loop tasks derive each cell's initial state from it with
+  * [[SubGraphState.initial]] and update that state in place, iteration
+  * after iteration; at the end they cache the final states alone
+  * ([[SubGraphState.State]]), which `Result.assignments` puts together with
+  * their topology again.
   */
 final class SubGraphState private (
     val cellId: Int,
@@ -32,9 +32,6 @@ final class SubGraphState private (
 
   /** The allocation state alone, on this cell's arrays (not a copy). */
   def state: SubGraphState.State = new SubGraphState.State(cellId, alloc, memberships, unallocCount)
-
-  /** Copy-on-write clone: clones the mutable arrays, shares the topology. */
-  def copy(): SubGraphState = SubGraphState.of(graph, state)
 
   /** Allocates edge `e` to `p` and logs it: each endpoint in `touched`,
     * and each endpoint new to `p` in `joined`.
@@ -278,7 +275,7 @@ object SubGraphState {
   }
 
   /** The mutable allocation state of one cell, without its topology: what
-    * an iteration caches. Every field is a primitive array or an
+    * the loop caches at its end. Every field is a primitive array or an
     * all-primitive object, so Spark's size estimator walks a cached state in
     * a fixed number of steps.
     */

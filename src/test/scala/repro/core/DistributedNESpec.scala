@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.{SparkEnv, StageShim, TaskContext}
+import org.apache.spark.{ReproShim, SparkEnv, SparkException, StageShim, TaskContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerJobEnd, SparkListenerJobStart,
-  SparkListenerStageSubmitted, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerEvent, SparkListenerJobStart,
+  SparkListenerStageSubmitted, SparkListenerTaskEnd, SparkListenerTaskStart, StageInfo}
 import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalMetrics}
@@ -14,8 +14,8 @@ import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
 import org.apache.logging.log4j.core.appender.AbstractAppender
 import org.apache.logging.log4j.core.config.{LoggerConfig, Property}
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.jdk.CollectionConverters._
 
 class DistributedNESpec extends SparkSpec {
@@ -157,18 +157,18 @@ class DistributedNESpec extends SparkSpec {
 
   test("evicting memory-only cached blocks mid-run leaves the output unchanged") {
     val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
-    val (expected, undisturbed) = runOn(edges, 4, lambda = 0.05)
-    // a call runs the initial gather, then two jobs per iteration, so jobs
-    // 30 and 45 land near iterations 15 and 22
-    assert(undisturbed.iterations > 45, "the evictions must land mid-run")
+    val (expected, _) = runOn(edges, 4, lambda = 0.05)
     val sc = spark.sparkContext
-    // drops the blocks memory pressure would drop: those of cached RDDs
-    // whose storage level has no disk tier
+    // at the start of the loop job, the second job of a call, drops the
+    // blocks memory pressure would drop: those of cached RDDs whose storage
+    // level has no disk tier
+    val fired = new AtomicInteger
     val evictor = new SparkListener {
       private var jobs = 0
-      override def onJobEnd(end: SparkListenerJobEnd): Unit = {
+      override def onJobStart(start: SparkListenerJobStart): Unit = {
         jobs += 1
-        if (jobs == 30 || jobs == 45) {
+        if (jobs == 2) {
+          fired.incrementAndGet()
           val memoryOnly = sc.getPersistentRDDs.collect {
             case (id, rdd) if !rdd.getStorageLevel.useDisk => id
           }.toSet
@@ -184,6 +184,7 @@ class DistributedNESpec extends SparkSpec {
     try {
       val (evicted, _) = runOn(edges, 4, lambda = 0.05)
       assert(evicted.toSeq == expected.toSeq)
+      assert(fired.get == 1, "the eviction did not fire at the loop job's start")
     } finally sc.removeSparkListener(evictor)
   }
 
@@ -220,15 +221,16 @@ class DistributedNESpec extends SparkSpec {
     try {
       val res = DistributedNE.partition(spark, input, DistributedNE.Config(p))
       res.assignments.unpersist(blocking = false)
-      // the listener bus is asynchronous: wait for both stages of every iteration
+      // the listener bus is asynchronous: wait for the build's second stage
+      // and the loop stage
       val deadline = System.nanoTime() + 10000000000L
-      while (tasks.size < 2 * res.iterations && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(tasks.size >= 2 * res.iterations, s"saw ${tasks.size} stages in ${res.iterations} iterations")
+      while (tasks.size < 2 && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(tasks.size == 2, s"saw ${tasks.size} stages after the one that reads the input")
       assert(tasks.asScala.max <= bound, s"a stage ran ${tasks.asScala.max} tasks, bound $bound")
     } finally sc.removeSparkListener(counter)
   }
 
-  test("a partition call runs 2 * iterations + 1 jobs and assignments.unpersist leaves nothing cached") {
+  test("a partition call runs 2 jobs and assignments.unpersist leaves nothing cached") {
     val sc = spark.sparkContext
     val edges = TestGraphs.skewed(200, 1000)
     val input = rddOf(edges)
@@ -253,9 +255,9 @@ class DistributedNESpec extends SparkSpec {
       val deadline = System.nanoTime() + 10000000000L
       while (jobs.asScala.count(_ == "read") < 2 && System.nanoTime() < deadline) Thread.sleep(10)
       assert(jobs.asScala.count(_ == "read") == 2, s"saw jobs ${jobs.asScala.mkString(", ")}")
-      // the initial gather, then a phase-1 and a phase-2 job per iteration;
-      // no job to build the output
-      assert(jobs.asScala.count(_ == "call") == 2 * res.iterations + 1,
+      // the build, then the loop; no job to build the output
+      assert(res.iterations > 1)
+      assert(jobs.asScala.count(_ == "call") == 2,
         s"${jobs.asScala.count(_ == "call")} jobs in ${res.iterations} iterations")
       res.assignments.unpersist(blocking = true)
       val left = sc.getPersistentRDDs.keySet.filterNot(before)
@@ -301,7 +303,7 @@ class DistributedNESpec extends SparkSpec {
     }
   }
 
-  test("the topology is cached once: each iteration stores only its new states") {
+  test("the topology is cached once: the loop stores only the final states") {
     val sc = spark.sparkContext
     val input = rddOf(GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect())
     val p = 16
@@ -335,23 +337,16 @@ class DistributedNESpec extends SparkSpec {
         case (jobs, ("store", rdd, bytes)) => jobs.init :+ (jobs.last :+ ((rdd, bytes)))
         case (jobs, _) => jobs :+ Vector.empty
       }
-      assert(perJob.length == 2 * res.iterations + 1, s"${perJob.length} jobs in ${res.iterations} iterations")
-      val build = perJob.head
+      assert(res.iterations > 1)
+      assert(perJob.length == 2, s"${perJob.length} jobs in ${res.iterations} iterations")
+      val Seq(build, loop) = perJob
+      // the build stores one topology block per slot, the loop one block of
+      // final states per slot, of its own RDD
       assert(build.map(_._1).distinct.length == 1 && build.length == slots, s"the build stored $build")
+      assert(loop.map(_._1).distinct.length == 1 && loop.length == slots, s"the loop stored $loop")
+      assert(loop.head._1 != build.head._1, s"the loop stored blocks of the topology, RDD ${build.head._1}")
       val built = build.map(_._2).sum
-      perJob.tail.zipWithIndex.foreach { case (job, j) =>
-        assert(job.map(_._2).sum < built / 2, s"job ${j + 1} stored ${job.map(_._2).sum} bytes, the build $built")
-      }
-      // phase 1 stores nothing; phase 2 stores one block per slot, all of its own new RDD
-      val phase1 = perJob.tail.grouped(2).map(_.head).toSeq
-      val phase2 = perJob.tail.grouped(2).map(_.last).toSeq
-      assert(phase1.forall(_.isEmpty), "a phase-1 job stored blocks")
-      val stateRdds = phase2.map { job =>
-        assert(job.map(_._1).distinct.length == 1 && job.length == slots, s"a phase-2 job stored $job")
-        job.head._1
-      }
-      assert(stateRdds.distinct.length == res.iterations && !stateRdds.contains(build.head._1),
-        s"state RDDs ${stateRdds.mkString(", ")}, topology ${build.head._1}")
+      assert(loop.map(_._2).sum < built / 2, s"the loop stored ${loop.map(_._2).sum} bytes, the build $built")
     } finally {
       sc.setLocalProperty(phase, null)
       sc.removeSparkListener(watch)
@@ -385,6 +380,163 @@ class DistributedNESpec extends SparkSpec {
       while (failed.get == 0 && System.nanoTime() < deadline) Thread.sleep(10)
       assert(failed.get == 1, s"${failed.get} failed task attempts")
     } finally sc.removeSparkListener(watch)
+  }
+
+  /** The id of the loop RDD `stage` computes, if it is a loop stage (a
+    * stage's own RDD is its newest).
+    */
+  private def loopRdd(stage: StageInfo): Option[Int] =
+    Some(stage.rddInfos.maxBy(_.id)).filter(_.name == "DistributedNE.Loop").map(_.id)
+
+  test("a loop task killed mid-loop is rerun with its whole gang and the output is unchanged") {
+    val sc = spark.sparkContext
+    assume(ReproShim.taskAttempts(sc) >= 2, s"master ${sc.master} does not retry tasks")
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val (expected, undisturbed) = runOn(edges, 4, lambda = 0.05)
+    assert(undisturbed.iterations > 40, "the kill must land mid-loop")
+    val loopStages = ConcurrentHashMap.newKeySet[Int]()
+    val running = ConcurrentHashMap.newKeySet[Long]() // loop task attempts
+    val failed = new AtomicInteger
+    val killed = new AtomicInteger
+    val killer = new SparkListener {
+      override def onStageSubmitted(s: SparkListenerStageSubmitted): Unit =
+        if (loopRdd(s.stageInfo).isDefined) loopStages.add(s.stageInfo.stageId)
+      override def onTaskStart(t: SparkListenerTaskStart): Unit =
+        if (loopStages.contains(t.stageId)) running.add(t.taskInfo.taskId)
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (loopStages.contains(e.stageId)) {
+          running.remove(e.taskInfo.taskId)
+          if (!e.taskInfo.successful) failed.incrementAndGet()
+        }
+      // the driver logs iteration 10 in the first attempt only
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case DistributedNE.IterationSynced(10, _) =>
+          running.asScala.headOption.foreach { id =>
+            if (sc.killTaskAttempt(id, interruptThread = false, "a test kills one loop task")) killed.incrementAndGet()
+          }
+        case _ =>
+      }
+    }
+    sc.addSparkListener(killer)
+    try {
+      val (recovered, res) = runOn(edges, 4, lambda = 0.05)
+      ReproShim.drainListenerBus(sc, 10000L)
+      assert(killed.get == 1, "no loop task was killed")
+      assert(failed.get >= 1, "no loop task attempt failed")
+      assert(loopStages.size == 2, s"${loopStages.size} loop stages: the loop must run again, once")
+      assert(res.iterations == undisturbed.iterations && res.trace == undisturbed.trace)
+      assert(recovered.toSeq == expected.toSeq)
+    } finally sc.removeSparkListener(killer)
+  }
+
+  /** Runs a call whose loop `breaker` breaks, given the call's loop jobs
+    * (job, loop RDD) so far; checks that the call throws `expected`, and
+    * that once it has thrown no job is active, no task runs, and neither
+    * a cached block nor a mailbox of the call is left.
+    */
+  private def assertBrokenCallCleansUp(edges: Array[(Long, Long)], expected: String)(
+      breaker: ConcurrentLinkedQueue[(Int, Int)] => SparkListener): Unit = {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val loops = new ConcurrentLinkedQueue[(Int, Int)]()
+    val tasks = new AtomicInteger // started minus ended
+    val watch = new SparkListener {
+      override def onJobStart(s: SparkListenerJobStart): Unit =
+        s.stageInfos.flatMap(loopRdd).foreach(rdd => loops.add((s.jobId, rdd)))
+      override def onTaskStart(t: SparkListenerTaskStart): Unit = tasks.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = tasks.decrementAndGet()
+    }
+    val broken = breaker(loops)
+    sc.addSparkListener(watch)
+    sc.addSparkListener(broken)
+    try {
+      val thrown = intercept[SparkException](DistributedNE.partition(spark, rddOf(edges),
+        DistributedNE.Config(numPartitions = 4, lambda = 0.05)))
+      assert(thrown.getMessage.contains(expected), thrown.getMessage)
+      ReproShim.drainListenerBus(sc, 10000L)
+      assert(!loops.isEmpty, "no loop job ran")
+      assert(sc.statusTracker.getActiveJobIds().isEmpty, "a job is still active")
+      assert(tasks.get == 0, s"${tasks.get} tasks still running")
+      val left = sc.getPersistentRDDs.keySet.filterNot(before)
+      assert(left.isEmpty, s"still cached: ${left.map(sc.getPersistentRDDs).mkString(", ")}")
+      loops.asScala.map(l => DistributedNE.mailboxName(l._2)).foreach { mailbox =>
+        assert(!StageShim.hasEndpoint(sc, mailbox), s"$mailbox is still registered")
+      }
+    } finally {
+      sc.removeSparkListener(broken)
+      sc.removeSparkListener(watch)
+    }
+  }
+
+  test("a call whose loop job is cancelled throws, and leaves no job, task, cached block or mailbox") {
+    val sc = spark.sparkContext
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val (expected, undisturbed) = runOn(edges, 4, lambda = 0.05)
+    assert(undisturbed.iterations > 10, "the cancel must land mid-loop")
+    val cancelledAt = new AtomicLong
+    assertBrokenCallCleansUp(edges, "cancelled") { loops =>
+      new SparkListener {
+        override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+          case DistributedNE.IterationSynced(5, _) =>
+            cancelledAt.set(System.nanoTime())
+            sc.cancelJob(loops.peek._1, "a test cancels the loop")
+          case _ =>
+        }
+      }
+    }
+    val seconds = (System.nanoTime() - cancelledAt.get) / 1e9
+    assert(cancelledAt.get > 0 && seconds < 15, s"the call ended $seconds s after its loop job was cancelled")
+    val (next, _) = runOn(edges, 4, lambda = 0.05)
+    assert(next.toSeq == expected.toSeq)
+  }
+
+  test("a call whose loop fails on every attempt throws, and leaves no job, task, cached block or mailbox") {
+    val sc = spark.sparkContext
+    val edges = GraphGen.rmat(spark, scale = 10, edgeFactor = 8, seed = 3).collect()
+    val loopStages = ConcurrentHashMap.newKeySet[Int]()
+    val killed = ConcurrentHashMap.newKeySet[Int]()
+    // kills the first task of every loop stage
+    assertBrokenCallCleansUp(edges, "Job aborted due to stage failure") { _ =>
+      new SparkListener {
+        override def onStageSubmitted(s: SparkListenerStageSubmitted): Unit =
+          if (loopRdd(s.stageInfo).isDefined) loopStages.add(s.stageInfo.stageId)
+        override def onTaskStart(t: SparkListenerTaskStart): Unit =
+          if (loopStages.contains(t.stageId) && killed.add(t.stageId))
+            sc.killTaskAttempt(t.taskInfo.taskId, interruptThread = false, "a test kills one loop task")
+      }
+    }
+    assert(loopStages.size == ReproShim.taskAttempts(sc), s"${loopStages.size} loop attempts")
+    val (again, _) = runOn(edges, 4, lambda = 0.05)
+    checkComplete(edges, again, 4)
+  }
+
+  test("Result.assignments is an ordinary RDD: take, first and a second full read work") {
+    val edges = TestGraphs.skewed(200, 1000)
+    val res = DistributedNE.partition(spark, rddOf(edges), DistributedNE.Config(4))
+    try {
+      val a = res.assignments
+      assert(a.take(1).length == 1)
+      val first = a.first()
+      val reads = Seq.fill(2)(a.collect().sortBy(t => (t._1, t._2)).toSeq)
+      assert(reads(0) == reads(1), "a second read of the assignments differs from the first")
+      assert(reads(0).contains(first))
+      checkComplete(edges, reads(0).toArray, 4)
+    } finally res.assignments.unpersist(blocking = false)
+  }
+
+  test("more slots than the cluster runs at once: the gang is clamped and the output unchanged") {
+    val sc = spark.sparkContext
+    val edges = GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect()
+    def triplesOn(slots: Int): Seq[(Long, Long, Int)] = {
+      val res = DistributedNE.partitionOn(spark, rddOf(edges), DistributedNE.Config(64), slots)
+      val triples = res.assignments.collect().sortBy(t => (t._1, t._2))
+      res.assignments.unpersist(blocking = false)
+      triples.toSeq
+    }
+    assert(ReproShim.maxConcurrentTasks(sc) < 64)
+    val expected = triplesOn(1)
+    checkComplete(edges, expected.toArray, 64)
+    assert(triplesOn(64) == expected)
   }
 
   /** Runs `body` with logger `name` at `level`, its lines sent only to a
@@ -427,10 +579,11 @@ class DistributedNESpec extends SparkSpec {
     val (named, other) = lines.partition(_.startsWith(passed))
     val lambdaLines = other.distinct
     assert(lambdaLines.isEmpty, "the cleaner worked on lambdas")
-    // the build's mapPartitions, mapPartitionsWithIndex and runJob, then two
-    // runJobs per iteration
+    // the build's mapPartitions, mapPartitionsWithIndex and runJob, then the
+    // loop's submitJob
     val functions = named.length
-    assert(functions == 2 * res.iterations + 3, s"saw $functions functions in ${res.iterations} iterations")
+    assert(res.iterations > 1)
+    assert(functions == 4, s"saw $functions functions in ${res.iterations} iterations")
     named.map(_.stripPrefix(passed)).distinct.foreach { name =>
       assert(!name.contains("$anonfun$") && !Class.forName(name).isSynthetic, s"$name is a lambda")
     }
@@ -438,8 +591,7 @@ class DistributedNESpec extends SparkSpec {
 
   test("releasing checkpointed cells logs no lineage warning") {
     // RDD.unpersist warns on every locally checkpointed RDD it releases;
-    // a call releases one set of cells per iteration, and the final ones
-    // on assignments.unpersist
+    // assignments.unpersist releases the topology and the final states
     val input = rddOf(TestGraphs.skewed(200, 1000))
     val (res, lines) = withLog("org.apache.spark.rdd", Level.WARN) {
       val r = DistributedNE.partition(spark, input, DistributedNE.Config(4))
@@ -466,6 +618,17 @@ class DistributedNESpec extends SparkSpec {
     res.trace.foreach(s => assert(s.selected >= 1 && s.restarts <= s.selected, s"$s"))
     assert(res.trace.head.restarts == res.trace.head.selected, "the first iteration only restarts")
     assert(res.trace.map(_.skipped).sum > 0 && res.trace.map(_.givenUp).sum > 0)
+  }
+
+  test("the synced memberships cover every replica: the sum of synced is at least the replica count") {
+    // each (vertex, partition) pair of the output is made by phase 1 in some
+    // cell and iteration, and synced then; two cells may make the same one
+    val edges = GraphGen.rmat(spark, scale = 9, edgeFactor = 8, seed = 3).collect()
+    val (triples, res) = runOn(edges, 8)
+    val replicas = math.round(LocalMetrics.replicationFactor(triples) * LocalMetrics.numVertices(edges))
+    val synced = res.trace.map(_.synced.toLong).sum
+    assert(res.trace.forall(_.synced >= 0))
+    assert(synced >= replicas, s"$synced memberships synced, $replicas replicas")
   }
 
   test("self-loops, duplicated and reversed pairs: every occurrence comes back once") {

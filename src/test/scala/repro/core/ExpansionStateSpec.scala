@@ -166,8 +166,8 @@ class ExpansionStateSpec extends AnyFunSuite {
     val step = e.select()
     assert(selected(step) == Seq((1L, 0), (2L, 0)))
     assert(step.selVertex.distinct.length == step.selVertex.length)
-    e.absorb(synced(), Array(report(Seq(0L, 0L, 0L))))
-    assert(e.iterationStats.last == DistributedNE.IterationStats(2, 0, 0, 4, 0L))
+    e.absorb(synced((1L, 0), (2L, 0)), Array(report(Seq(0L, 0L, 0L))))
+    assert(e.iterationStats.last == DistributedNE.IterationStats(2, 0, 0, 4, 0L, 2))
   }
 
   test("a vertex taken by a lower-id partition stays in the other partition's boundary") {

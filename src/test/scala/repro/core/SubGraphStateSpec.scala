@@ -123,7 +123,7 @@ class SubGraphStateSpec extends SparkSpec {
     val synced = cells.map { st =>
       val mine = all.filter(m => grid.replicaCells(m._1).contains(st.cellId))
       assert(mine.length < all.length, s"cell ${st.cellId}: the replica filter must drop something")
-      val (whole, routed) = (st.copy(), st.copy())
+      val (whole, routed) = (SubGraphState.of(st.graph, st.state), SubGraphState.of(st.graph, st.state))
       val bpWhole = sync(whole, all: _*).toSeq
       val samePairs = bpWhole == sync(routed, mine: _*).toSeq
       assert(samePairs, s"cell ${st.cellId}: synced pairs differ")
@@ -231,10 +231,9 @@ class SubGraphStateSpec extends SparkSpec {
       (s.alloc.toSeq, s.unallocCount.toSeq,
         (0 until s.graph.numVertices).map(s.memberships.toArray(_).toSeq))
     val before = snapshot(st)
-    // phase 1 runs once per job of an iteration, each time on its own copy
-    // of the parent
+    // SubGraphState.of puts a cell together on a copy of a state
     def phase1() = {
-      val cp = st.copy()
+      val cp = SubGraphState.of(st.graph, st.state)
       val delta = new Array[Long](2)
       val msgs = oneHop(cp, Seq((2L, 0), (3L, 1)), Array(0L, 0L), delta, noQuota)
       (msgs.toSeq, delta.toSeq, snapshot(cp))
